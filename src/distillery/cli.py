@@ -225,13 +225,8 @@ def cmd_hashing_simulate(
         for trial in range(trials)
     ]
     failures = sum(1 for t in results if not t.success)
-    misses = sum(1 for t in results if not t.typical)
-    q_hat = misses / trials
-    z = 1.959963984540054
-    denom = 1.0 + z * z / trials
-    center = (q_hat + z * z / (2 * trials)) / denom
-    radius = z * ((q_hat * (1 - q_hat) / trials + z * z / (4 * trials**2)) ** 0.5) / denom
-    bound = hashing.failure_bound(src, plan, q_hat)
+    miss = hashing._wilson_estimate(sum(1 for t in results if not t.typical), trials)
+    bound = hashing.failure_bound(src, plan, miss.q_hat)
 
     csv_lines = ["trial,success,typical,parities_matched,candidates_visited"]
     for i, t in enumerate(results):
@@ -254,8 +249,8 @@ def cmd_hashing_simulate(
         "seed": seed,
         "failures": failures,
         "failure_rate": failures / trials,
-        "q_hat": q_hat,
-        "q_upper": min(1.0, center + radius),
+        "q_hat": miss.q_hat,
+        "q_upper": miss.upper,
         "collision_term": bound.collision_term,
         "failure_bound": bound.total,
     }

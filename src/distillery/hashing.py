@@ -8,17 +8,23 @@ we call it the amplitude bit.  Each round consumes one pair and reveals one
 parity of the surviving description, exactly the linear-algebra shadow of the
 bilateral-CNOT measurement network.
 
+Because the round map is GF(2)-linear, a trial compiles its r rounds once
+into a parity matrix T (r x 2n) and a final-state matrix F (2m x 2n); the
+truth, every candidate and the fallback are then T.x and F.x.
+
 Decoding enumerates the closed typicality window
-|-(1/n) sum_j log2 P(x_j) - H| <= epsilon by depth-first search with
+|-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
 log-probability pruning, then keeps candidates whose parities match every
-revealed bit.  A trial succeeds when every surviving candidate agrees with
-the truth about the final (unmeasured) pairs; when nothing survives, an
-arbitrary fallback sequence is decoded and almost always counts as failure.
+revealed bit, tested eight candidates to a byte.  A trial succeeds when every
+surviving candidate agrees with the truth about the final (unmeasured) pairs;
+when nothing survives, an arbitrary fallback sequence is decoded and almost
+always counts as failure.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,30 +170,50 @@ def round_update(s, x: BellIndexVector) -> tuple[int, BellIndexVector]:
         raise DimensionMismatchError(f"need {2 * m} parity bits, got {sa.size}")
     if not sa.any():
         raise ValueError("all-zero parity string selects nothing; caller must resample")
-    bits = x.to_bits()
-    hi = bits[0::2].astype(np.uint8)  # phase bits
-    lo = bits[1::2].astype(np.uint8)  # amplitude bits
-    s_hi = sa[0::2]
-    s_lo = sa[1::2]
-    selected = (s_hi | s_lo).astype(bool)
+    t, rest = _round_kernel(sa, x.to_bits().reshape(m, 2, 1))
+    return int(t[0]), BellIndexVector(tuple((2 * rest[:, 0, 0] + rest[:, 1, 0]).tolist()))
+
+
+def _round_kernel(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The round map on an (m, 2, K) stack: pair i holds its phase bits in
+    x[i, 0] and its amplitude bits in x[i, 1], one column per input.
+
+    The map is bitwise, so a column may equally be a byte holding eight
+    inputs.  ``x`` is updated in place.  Returns the revealed row (K,) and the
+    (m - 1, 2, K) stack of the kept pairs.
+    """
+    sel = s.reshape(-1, 2).astype(bool)
+    s_hi, s_lo = sel[:, 0], sel[:, 1]
 
     # Rotate each selected pair so the selected bit sits in the amplitude slot.
-    swap = (s_hi == 1) & (s_lo == 0)
-    hi[swap], lo[swap] = lo[swap].copy(), hi[swap].copy()
-    both = (s_hi == 1) & (s_lo == 1)
-    lo[both] ^= hi[both]
+    swap = s_hi & ~s_lo
+    x[swap] = x[swap, ::-1]
+    both = s_hi & s_lo
+    x[both, 1] ^= x[both, 0]
 
-    chosen = np.flatnonzero(selected)
-    i0 = int(chosen[0])
-    others = chosen[1:]
-    lo[i0] ^= np.bitwise_xor.reduce(lo[others]) if others.size else 0
-    hi[others] ^= hi[i0]
-    t = int(lo[i0])
+    # Amplitudes accumulate on the lowest selected pair, which is read and
+    # dropped; its phase spreads back onto the other selected pairs.
+    chosen = (s_hi | s_lo).nonzero()[0]
+    i0 = chosen[0]
+    t = np.bitwise_xor.reduce(x[chosen, 1], axis=0)
+    x[chosen[1:], 0] ^= x[i0, 0]
+    return t, np.concatenate((x[:i0], x[i0 + 1 :]))
 
-    keep = np.ones(m, dtype=bool)
-    keep[i0] = False
-    remaining = tuple(int(2 * h + l) for h, l in zip(hi[keep], lo[keep]))
-    return t, BellIndexVector(remaining)
+
+def _compile_rounds(s_list: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) matrices of the rounds: T (r x 2n) sends an input's flat bits to
+    the bits the rounds reveal, F (2m x 2n) to the flat bits of its final
+    pairs.  The round map is linear, so both come from pushing the 2n basis
+    bits through the rounds as columns, eight to a byte."""
+    x = np.packbits(np.eye(2 * n, dtype=np.uint8), axis=1).reshape(n, 2, -1)
+    rows = []
+    for s in s_list:
+        t, x = _round_kernel(s, x)
+        rows.append(t)
+    return (
+        np.unpackbits(np.array(rows), axis=1, count=2 * n),
+        np.unpackbits(x.reshape(-1, x.shape[2]), axis=1, count=2 * n),
+    )
 
 
 @dataclass(frozen=True)
@@ -262,62 +288,77 @@ def is_typical(x, src: SourceDist, epsilon: float) -> bool:
     return abs(total / n - src.h) <= epsilon
 
 
-_TYPICAL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
+class _TypicalSet(tuple):
+    """(symbols, bits, visits) with ``packed``: the bits transposed to one row
+    per flat bit position and packed eight candidates to a byte."""
+
+    packed: np.ndarray
+
+
+# Recent enumerations only: a sweep over many sources would otherwise keep
+# every one for the life of the process (~180 KB each at n = 24).
+_TYPICAL_CACHE_SIZE = 4
+_TYPICAL_CACHE: OrderedDict[tuple, _TypicalSet] = OrderedDict()
 
 
 def enumerate_typical(
     src: SourceDist, n: int, epsilon: float, budget: int = DEFAULT_DECODER_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """All typical index strings of length n, by pruned depth-first search.
+    """All typical index strings of length n, by pruned level-wise search.
 
-    Returns (symbols, bits, visits): a (C, n) symbol matrix, its (C, 2n) bit
-    flattening, and the number of search nodes visited.  Enumerations are
+    Returns (symbols, bits, visits): a (C, n) symbol matrix in lexicographic
+    order, its (C, 2n) bit flattening, and the number of search-tree nodes
+    visited.  The tree is expanded one depth at a time, children in symbol
+    order; memory stays O(visits) whatever n is.  Recent enumerations are
     cached per (source, n, epsilon); exceeding the visit budget raises.
     """
     key = (src.p, int(n), float(epsilon))
     cached = _TYPICAL_CACHE.get(key)
     if cached is not None and cached[2] <= budget:
+        _TYPICAL_CACHE.move_to_end(key)
         return cached
 
     surprisal = src.surprisals()
-    symbols = [k for k in range(4) if not math.isinf(surprisal[k])]
-    finite = [surprisal[k] for k in symbols]
-    min_s, max_s = min(finite), max(finite)
+    symbols = np.array([k for k in range(4) if not math.isinf(surprisal[k])], dtype=np.uint8)
+    steps = np.array([surprisal[k] for k in symbols])
+    min_s, max_s = float(steps.min()), float(steps.max())
     lo = n * (src.h - epsilon)
     hi = n * (src.h + epsilon)
-    out: list[tuple[int, ...]] = []
-    visits = 0
-    prefix = [0] * n
-
-    def descend(depth: int, total: float) -> None:
-        nonlocal visits
-        visits += 1
+    totals = np.zeros(1)  # surprisal sums of the current level, left to right
+    expanded: list[np.ndarray] = []  # per depth: the nodes whose children form the next level
+    visits = 1
+    for depth in range(n + 1):
         if visits > budget:
             raise DecoderBudgetError(
-                f"typical-set enumeration exceeded {budget} visits", visits=visits
+                f"typical-set enumeration exceeded {budget} visits", visits=max(budget, 0) + 1
             )
         remaining = n - depth
-        # Prune branches that cannot land inside the window (small slack so
+        # Prune nodes that cannot land inside the window (small slack so
         # roundoff never drops a boundary string; leaves recheck exactly).
-        if total + remaining * max_s < lo - 1e-9:
-            return
-        if total + remaining * min_s > hi + 1e-9:
-            return
+        alive = totals + remaining * max_s >= lo - 1e-9
+        alive &= totals + remaining * min_s <= hi + 1e-9
         if depth == n:
-            if abs(total / n - src.h) <= epsilon:
-                out.append(tuple(prefix))
-            return
-        for k in symbols:
-            prefix[depth] = k
-            descend(depth + 1, total + surprisal[k])
+            break
+        expanded.append(np.flatnonzero(alive))
+        visits += expanded[-1].size * symbols.size
+        if visits <= budget:  # never allocate a level the budget does not cover
+            totals = (totals[expanded[-1], None] + steps).reshape(-1)
 
-    descend(0, 0.0)
-    syms = np.array(out, dtype=np.uint8).reshape(len(out), n)
-    bits = np.empty((len(out), 2 * n), dtype=np.uint8)
+    # Child j of a level descends from node j // S of the level above
+    # through symbol j % S; walk the leaves back to the root.
+    node = np.flatnonzero(alive & (np.abs(totals / n - src.h) <= epsilon))
+    syms = np.empty((node.size, n), dtype=np.uint8)
+    for depth in range(n - 1, -1, -1):
+        syms[:, depth] = symbols[node % symbols.size]
+        node = expanded[depth][node // symbols.size]
+    bits = np.empty((len(syms), 2 * n), dtype=np.uint8)
     bits[:, 0::2] = syms >> 1
     bits[:, 1::2] = syms & 1
-    result = (syms, bits, visits)
+    result = _TypicalSet((syms, bits, visits))
+    result.packed = np.packbits(bits.T, axis=1)
     _TYPICAL_CACHE[key] = result
+    if len(_TYPICAL_CACHE) > _TYPICAL_CACHE_SIZE:
+        _TYPICAL_CACHE.popitem(last=False)
     return result
 
 
@@ -343,29 +384,14 @@ def _draw_nonzero_bits(rng: np.random.Generator, length: int) -> np.ndarray:
             return s
 
 
-def _parity_matrix(s_list: list[np.ndarray], n: int) -> np.ndarray:
-    """Push bit-basis vectors through the rounds; column j holds the parities
-    revealed when the input is the j-th flat basis bit.  Linearity of the
-    round map makes this the full parity functional of any input."""
-    r = len(s_list)
-    t_matrix = np.zeros((r, 2 * n), dtype=np.uint8)
-    basis = np.zeros(2 * n, dtype=np.uint8)
-    for j in range(2 * n):
-        basis[:] = 0
-        basis[j] = 1
-        x = BellIndexVector.from_bits(basis)
-        for k, s in enumerate(s_list):
-            t, x = round_update(s, x)
-            t_matrix[k, j] = t
-    return t_matrix
-
-
-def _chain(s_list: list[np.ndarray], x: BellIndexVector) -> tuple[list[int], BellIndexVector]:
-    bits = []
-    for s in s_list:
-        t, x = round_update(s, x)
-        bits.append(t)
-    return bits, x
+def _matching(packed: np.ndarray, count: int, t_matrix: np.ndarray, parity_bits) -> np.ndarray:
+    """Indices of the candidates whose parities under every row of T equal
+    the revealed bits; ``packed`` holds the candidates eight to a byte."""
+    mismatch = np.zeros(packed.shape[1], dtype=np.uint8)
+    for row, t in zip(t_matrix.astype(bool), parity_bits):
+        predicted = np.bitwise_xor.reduce(packed[row], axis=0)
+        mismatch |= ~predicted if t else predicted
+    return np.flatnonzero(np.unpackbits(mismatch, count=count) == 0)
 
 
 def _fallback_sequence(src: SourceDist, n: int) -> BellIndexVector:
@@ -392,46 +418,43 @@ def run_hashing_trial(
     n, r = plan.n, plan.r
     rng = np.random.default_rng(seed)
     sampled = tuple(int(v) for v in rng.choice(4, size=n, p=np.asarray(src.p)))
-    x0 = BellIndexVector(sampled)
     s_list = [_draw_nonzero_bits(rng, 2 * (n - k)) for k in range(r)]
-    parity_bits, true_final = _chain(s_list, x0)
-    typical = is_typical(x0, src, plan.epsilon)
+    t_matrix, f_matrix = _compile_rounds(s_list, n)
+    # uint8 products wrap modulo 256, which keeps every parity exact.
+    x0 = BellIndexVector(sampled).to_bits()
+    parity_bits = (t_matrix @ x0) & 1
+    true_final = (f_matrix @ x0) & 1
+    typical = is_typical(sampled, src, plan.epsilon)
 
     budget_exceeded = False
+    survivors = np.empty(0, dtype=np.intp)
     try:
-        _, cand_bits, visits = enumerate_typical(src, n, plan.epsilon, budget=budget)
+        typical_set = enumerate_typical(src, n, plan.epsilon, budget=budget)
     except DecoderBudgetError as exc:
-        cand_bits = np.empty((0, 2 * n), dtype=np.uint8)
         visits = exc.visits
         budget_exceeded = True
+    else:
+        _, cand_bits, visits = typical_set
+        survivors = _matching(typical_set.packed, len(cand_bits), t_matrix, parity_bits)
 
-    survivors: list[int] = []
-    if cand_bits.shape[0]:
-        t_matrix = _parity_matrix(s_list, n)
-        predicted = (cand_bits.astype(np.int64) @ t_matrix.T.astype(np.int64)) & 1
-        target = np.asarray(parity_bits, dtype=np.int64)
-        survivors = list(np.flatnonzero((predicted == target).all(axis=1)))
-
-    if survivors:
-        finals = [
-            _chain(s_list, BellIndexVector.from_bits(cand_bits[i]))[1] for i in survivors
-        ]
+    if survivors.size:
+        finals = (cand_bits[survivors] @ f_matrix.T) & 1
         decoded_final = finals[0]
-        success = all(f == true_final for f in finals)
+        success = bool((finals == true_final).all())
     else:
         # Nothing matched (or nothing was typical): decode an arbitrary
         # sequence, which only counts as success by coincidence.
-        _, decoded_final = _chain(s_list, _fallback_sequence(src, n))
-        success = decoded_final == true_final and not budget_exceeded
+        decoded_final = (f_matrix @ _fallback_sequence(src, n).to_bits()) & 1
+        success = bool((decoded_final == true_final).all()) and not budget_exceeded
 
     return HashingTrialResult(
         sampled=sampled,
-        parity_bits=tuple(parity_bits),
-        true_final=true_final,
-        decoded_final=decoded_final,
+        parity_bits=tuple(parity_bits.tolist()),
+        true_final=BellIndexVector.from_bits(true_final),
+        decoded_final=BellIndexVector.from_bits(decoded_final),
         success=success,
         typical=typical,
-        parities_matched=len(survivors),
+        parities_matched=int(survivors.size),
         candidates_visited=visits,
         budget_exceeded=budget_exceeded,
     )
@@ -482,15 +505,18 @@ def typicality_miss_estimate(
     draws = rng.choice(4, size=(trials, int(n)), p=np.asarray(src.p))
     means = surprisal[draws].sum(axis=1) / float(n)
     misses = int((np.abs(means - src.h) > epsilon).sum())
+    return _wilson_estimate(misses, trials)
+
+
+def _wilson_estimate(misses: int, trials: int) -> MissEstimate:
+    """Miss rate misses / trials with its two-sided 95% Wilson interval."""
     q_hat = misses / trials
     z2 = _WILSON_Z**2
     denom = 1.0 + z2 / trials
     center = (q_hat + z2 / (2 * trials)) / denom
-    radius = (
-        _WILSON_Z
-        * math.sqrt(q_hat * (1.0 - q_hat) / trials + z2 / (4.0 * trials**2))
-        / denom
-    )
+    # ** 0.5 rather than math.sqrt: the two differ in the last bit for some
+    # counts, and the CLI summary that prints this bound is byte-stable.
+    radius = _WILSON_Z * ((q_hat * (1 - q_hat) / trials + z2 / (4 * trials**2)) ** 0.5) / denom
     return MissEstimate(
         q_hat=q_hat,
         lower=max(0.0, center - radius),

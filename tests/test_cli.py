@@ -157,6 +157,23 @@ def test_hashing_simulate_summary(runner, tmp_path):
     assert table.stdout.strip().splitlines() == lines
 
 
+def test_hashing_simulate_long_strings_exhaust_the_budget(runner, tmp_path):
+    # n = 1200 once ended in a RecursionError traceback from a depth-first
+    # enumerator; now the visit budget runs out and the trial fails cleanly
+    csv_path = tmp_path / "trials.csv"
+    args = [
+        "hashing", "simulate", "--n", "1200",
+        "--p0", "0.91", "--p1", "0.03", "--p2", "0.03", "--p3", "0.03",
+        "--trials", "1", "--budget", "5000", "--trials-out", str(csv_path),
+    ]  # fmt: skip
+    result = invoke_ok(runner, args)
+    assert result.exception is None
+    doc = json.loads(result.stdout)
+    assert (doc["n"], doc["trials"], doc["failures"]) == (1200, 1, 1)
+    row = csv_path.read_text().strip().splitlines()[1].split(",")
+    assert (row[0], row[1], row[3], row[4]) == ("0", "0", "0", "5001")
+
+
 def test_hashing_simulate_bad_probabilities(runner):
     args = [
         "hashing", "simulate", "--n", "8",

@@ -2,14 +2,20 @@
 
 The typical-set enumerator is checked against exhaustive membership testing;
 the round map against hand-worked instances, the parity contract, and GF(2)
-linearity; the decoder against direct Monte Carlo.
+linearity; the decoder against direct Monte Carlo.  The library's compiled
+rounds, bit-sliced parity match and level-wise enumeration are checked
+against the slow paths they replaced, kept here as reference
+implementations: the per-vector round, the basis-vector parity matrix, the
+round-by-round replay and the recursive depth-first enumerator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from distillery import hashing
 from distillery.errors import (
     DecoderBudgetError,
     DimensionMismatchError,
@@ -40,6 +46,138 @@ def draw_nonzero_bits(rng, length):
         s = rng.integers(0, 2, size=length, dtype=np.uint8)
         if s.any():
             return s
+
+
+def ref_round_update(s, x):
+    """One round on one vector, pair by pair."""
+    m = len(x)
+    sa = np.asarray(s, dtype=np.uint8).reshape(-1)
+    assert sa.size == 2 * m and sa.any()
+    bits = x.to_bits()
+    hi = bits[0::2].astype(np.uint8)  # phase bits
+    lo = bits[1::2].astype(np.uint8)  # amplitude bits
+    s_hi = sa[0::2]
+    s_lo = sa[1::2]
+    selected = (s_hi | s_lo).astype(bool)
+
+    swap = (s_hi == 1) & (s_lo == 0)
+    hi[swap], lo[swap] = lo[swap].copy(), hi[swap].copy()
+    both = (s_hi == 1) & (s_lo == 1)
+    lo[both] ^= hi[both]
+
+    chosen = np.flatnonzero(selected)
+    i0 = int(chosen[0])
+    others = chosen[1:]
+    lo[i0] ^= np.bitwise_xor.reduce(lo[others]) if others.size else 0
+    hi[others] ^= hi[i0]
+    t = int(lo[i0])
+
+    keep = np.ones(m, dtype=bool)
+    keep[i0] = False
+    remaining = tuple(int(2 * h + l) for h, l in zip(hi[keep], lo[keep]))
+    return t, BellIndexVector(remaining)
+
+
+def ref_chain(s_list, x):
+    bits = []
+    for s in s_list:
+        t, x = ref_round_update(s, x)
+        bits.append(t)
+    return bits, x
+
+
+def ref_parity_matrix(s_list, n):
+    """Column j holds the parities revealed for the j-th flat basis bit."""
+    t_matrix = np.zeros((len(s_list), 2 * n), dtype=np.uint8)
+    for j in range(2 * n):
+        basis = np.zeros(2 * n, dtype=np.uint8)
+        basis[j] = 1
+        t_matrix[:, j] = ref_chain(s_list, BellIndexVector.from_bits(basis))[0]
+    return t_matrix
+
+
+def ref_enumerate_typical(src, n, epsilon, budget=hashing.DEFAULT_DECODER_BUDGET):
+    """Pruned recursive depth-first search, uncached."""
+    surprisal = src.surprisals()
+    symbols = [k for k in range(4) if not math.isinf(surprisal[k])]
+    finite = [surprisal[k] for k in symbols]
+    min_s, max_s = min(finite), max(finite)
+    lo = n * (src.h - epsilon)
+    hi = n * (src.h + epsilon)
+    out = []
+    visits = 0
+    prefix = [0] * n
+
+    def descend(depth, total):
+        nonlocal visits
+        visits += 1
+        if visits > budget:
+            raise DecoderBudgetError(f"exceeded {budget} visits", visits=visits)
+        remaining = n - depth
+        if total + remaining * max_s < lo - 1e-9:
+            return
+        if total + remaining * min_s > hi + 1e-9:
+            return
+        if depth == n:
+            if abs(total / n - src.h) <= epsilon:
+                out.append(tuple(prefix))
+            return
+        for k in symbols:
+            prefix[depth] = k
+            descend(depth + 1, total + surprisal[k])
+
+    descend(0, 0.0)
+    syms = np.array(out, dtype=np.uint8).reshape(len(out), n)
+    bits = np.empty((len(out), 2 * n), dtype=np.uint8)
+    bits[:, 0::2] = syms >> 1
+    bits[:, 1::2] = syms & 1
+    return syms, bits, visits
+
+
+def ref_run_hashing_trial(src, plan, seed, budget=hashing.DEFAULT_DECODER_BUDGET):
+    """A trial replayed vector by vector, decoded with an integer matmul."""
+    n, r = plan.n, plan.r
+    rng = np.random.default_rng(seed)
+    sampled = tuple(int(v) for v in rng.choice(4, size=n, p=np.asarray(src.p)))
+    x0 = BellIndexVector(sampled)
+    s_list = [draw_nonzero_bits(rng, 2 * (n - k)) for k in range(r)]
+    parity_bits, true_final = ref_chain(s_list, x0)
+
+    budget_exceeded = False
+    try:
+        _, cand_bits, visits = ref_enumerate_typical(src, n, plan.epsilon, budget=budget)
+    except DecoderBudgetError as exc:
+        cand_bits = np.empty((0, 2 * n), dtype=np.uint8)
+        visits = exc.visits
+        budget_exceeded = True
+
+    survivors = []
+    if cand_bits.shape[0]:
+        t_matrix = ref_parity_matrix(s_list, n)
+        predicted = (cand_bits.astype(np.int64) @ t_matrix.T.astype(np.int64)) & 1
+        target = np.asarray(parity_bits, dtype=np.int64)
+        survivors = list(np.flatnonzero((predicted == target).all(axis=1)))
+
+    if survivors:
+        finals = [ref_chain(s_list, BellIndexVector.from_bits(cand_bits[i]))[1] for i in survivors]
+        decoded_final = finals[0]
+        success = all(f == true_final for f in finals)
+    else:
+        best = max(range(4), key=lambda k: (src.p[k], -k))
+        _, decoded_final = ref_chain(s_list, BellIndexVector((best,) * n))
+        success = decoded_final == true_final and not budget_exceeded
+
+    return hashing.HashingTrialResult(
+        sampled=sampled,
+        parity_bits=tuple(parity_bits),
+        true_final=true_final,
+        decoded_final=decoded_final,
+        success=success,
+        typical=is_typical(x0, src, plan.epsilon),
+        parities_matched=len(survivors),
+        candidates_visited=visits,
+        budget_exceeded=budget_exceeded,
+    )
 
 
 def test_shannon_entropy_examples():
@@ -133,6 +271,17 @@ def test_round_update_is_gf2_linear():
                 tz, rz = round_update(s, x ^ y)
                 assert tz == tx ^ ty
                 assert rz.entries == (rx ^ ry).entries
+
+
+def test_round_update_matches_reference():
+    rng = np.random.default_rng(66)
+    for _ in range(400):
+        m = int(rng.integers(1, 13))
+        x = BellIndexVector(tuple(int(v) for v in rng.integers(0, 4, size=m)))
+        s = draw_nonzero_bits(rng, 2 * m)
+        t, rest = round_update(s, x)
+        assert (t, rest) == ref_round_update(s, x)
+        assert type(t) is int
 
 
 def test_plan_yield_examples():
@@ -234,6 +383,76 @@ def test_enumerate_typical_budget():
     symbols, _, visits = enumerate_typical(src, 10, 0.1)
     assert visits > 500
     assert len(symbols) == 141307
+
+
+def test_enumerate_typical_matches_reference():
+    sources = [
+        SourceDist(SKEWED),
+        SourceDist((0.4, 0.3, 0.2, 0.1)),
+        SourceDist((0.5, 0.5, 0.0, 0.0)),  # zero-probability symbols are skipped
+        SourceDist((0.0, 0.0, 1.0, 0.0)),
+    ]
+    for src in sources:
+        for n, epsilon in ((1, 0.3), (5, 0.1), (9, 0.05), (8, 0.2)):
+            symbols, bits, visits = enumerate_typical(src, n, epsilon)
+            ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
+            assert symbols.dtype == ref_symbols.dtype and bits.dtype == ref_bits.dtype
+            assert np.array_equal(symbols, ref_symbols)  # same strings, same order
+            assert np.array_equal(bits, ref_bits)
+            assert visits == ref_visits
+            # the budget trips exactly when the whole tree does not fit in it
+            assert enumerate_typical(src, n, epsilon, budget=visits)[2] == visits
+            for budget in (visits - 1, visits // 3, 0):
+                with pytest.raises(DecoderBudgetError) as info:
+                    enumerate_typical(src, n, epsilon, budget=budget)
+                with pytest.raises(DecoderBudgetError) as ref_info:
+                    ref_enumerate_typical(src, n, epsilon, budget=budget)
+                assert info.value.visits == ref_info.value.visits == budget + 1
+
+
+def test_enumerate_typical_has_no_depth_limit():
+    # n = 1200 is deeper than Python's default recursion limit, which the
+    # depth-first search it replaced ran into; only the visit budget stops it
+    symbols, bits, visits = enumerate_typical(SourceDist((1.0, 0.0, 0.0, 0.0)), 1200, 0.25)
+    assert symbols.shape == (1, 1200) and not symbols.any() and not bits.any()
+    assert visits == 1201  # root plus one chain of 1200 symbols
+    with pytest.raises(DecoderBudgetError) as info:
+        enumerate_typical(SourceDist(SKEWED), 1200, 0.1, budget=10**4)
+    assert info.value.visits == 10**4 + 1
+
+
+def test_typical_cache_is_bounded():
+    sources = [SourceDist((p0, 1.0 - p0, 0.0, 0.0)) for p0 in (0.6, 0.65, 0.7, 0.75, 0.8, 0.85)]
+    first = enumerate_typical(sources[0], 8, 0.1)
+    for src in sources[1:]:
+        enumerate_typical(src, 8, 0.1)
+        assert len(hashing._TYPICAL_CACHE) <= hashing._TYPICAL_CACHE_SIZE
+    again = enumerate_typical(sources[0], 8, 0.1)  # evicted, so enumerated afresh
+    assert again is not first
+    assert all(np.array_equal(a, b) for a, b in zip(again[:2], first[:2]))
+    assert again[2] == first[2]
+
+
+def test_run_hashing_trial_matches_reference():
+    paths = {"decoded": 0, "fallback": 0, "budget": 0}
+    for n in (4, 8, 13, 16, 21, 24):
+        for p0 in (0.9, 0.95, 0.99):
+            q = (1.0 - p0) / 3.0
+            src = SourceDist((p0, q, q, q))
+            plan = plan_yield(src, n)
+            for seed in range(3):
+                for budget in (hashing.DEFAULT_DECODER_BUDGET, 40):
+                    res = run_hashing_trial(src, plan, [seed, n], budget=budget)
+                    ref = ref_run_hashing_trial(src, plan, [seed, n], budget=budget)
+                    for field in dataclasses.fields(res):
+                        assert getattr(res, field.name) == getattr(ref, field.name), field.name
+                    if res.budget_exceeded:
+                        paths["budget"] += 1
+                    else:
+                        paths["decoded" if res.parities_matched else "fallback"] += 1
+    # the grid covers decoding, the fallback of an empty typical set (or no
+    # match) and the budget-exceeded path
+    assert min(paths.values()) > 0, paths
 
 
 def test_run_hashing_trial_pure_source():
