@@ -248,10 +248,15 @@ def fully_entangled_fraction(rho: DensityOperator) -> float:
     return float(np.linalg.eigvalsh(real_part).max())
 
 
+def ppt_min_eigenvalue(rho: DensityOperator) -> float:
+    """Smallest eigenvalue of the partial transpose; negative means entangled."""
+    return float(np.linalg.eigvalsh(sym(partial_transpose(rho))).min())
+
+
 def two_qubit_diagnostics(rho: DensityOperator) -> TwoQubitDiagnostics:
     """PPT minimum eigenvalue, fully entangled fraction, and the verdict."""
     _require_two_qubit(rho, "two_qubit_diagnostics")
-    pt_min = float(np.linalg.eigvalsh(sym(partial_transpose(rho))).min())
+    pt_min = ppt_min_eigenvalue(rho)
     return TwoQubitDiagnostics(
         ppt_min_eigenvalue=pt_min,
         fully_entangled_fraction=fully_entangled_fraction(rho),

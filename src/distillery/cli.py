@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import bell, hashing, locc, qstate, recurrence
-from .errors import DistilleryError
+from .errors import DistilleryError, FileAccessError
 
 _JSON_SIG = 17
 _CSV_SIG = 12
@@ -41,13 +41,28 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FileAccessError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit_json(doc, out=None) -> None:
     text = _json_value(doc)
     if out is None:
         click.echo(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text)
 
 
 def _csv_real(x: float) -> str:
@@ -78,8 +93,7 @@ def _guarded(fn):
 
 
 def _load_state(path: str) -> qstate.DensityOperator:
-    with open(path) as fh:
-        return qstate.state_from_json(fh.read())
+    return qstate.state_from_json(_read_file(path))
 
 
 def _write_state(rho: qstate.DensityOperator, out: str | None) -> None:
@@ -87,8 +101,7 @@ def _write_state(rho: qstate.DensityOperator, out: str | None) -> None:
     if out is None or out == "-":
         click.echo(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text)
 
 
 @click.group()
@@ -128,17 +141,14 @@ def cmd_state(kind, fidelity, label, dim, path, out) -> None:
 def cmd_check(path, out) -> None:
     """Entanglement diagnostics; two-qubit states also get fraction and verdict."""
     rho = _load_state(path)
-    pt_min = float(np.linalg.eigvalsh(qstate.sym(qstate.partial_transpose(rho))).min())
-    doc = {
-        "dim_a": rho.dim_a,
-        "dim_b": rho.dim_b,
-        "ppt_min_eigenvalue": pt_min,
-    }
+    doc = {"dim_a": rho.dim_a, "dim_b": rho.dim_b}
     if (rho.dim_a, rho.dim_b) == (2, 2):
         diag = bell.two_qubit_diagnostics(rho)
+        doc["ppt_min_eigenvalue"] = diag.ppt_min_eigenvalue
         doc["fully_entangled_fraction"] = diag.fully_entangled_fraction
         doc["entangled"] = diag.entangled
     else:
+        doc["ppt_min_eigenvalue"] = bell.ppt_min_eigenvalue(rho)
         doc["fully_entangled_fraction"] = None
         doc["entangled"] = None
     _emit_json(doc, out)
@@ -177,8 +187,7 @@ def cmd_recurrence(f0, f_target, max_steps, out) -> None:
     if out is None or out == "-":
         click.echo(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(out, text)
 
 
 @main.group("hashing")
@@ -235,8 +244,7 @@ def cmd_hashing_simulate(
         )
     csv_text = "\n".join(csv_lines)
     if trials_out is not None:
-        with open(trials_out, "w") as fh:
-            fh.write(csv_text + "\n")
+        _write_file(trials_out, csv_text)
 
     summary = {
         "n": plan.n,
@@ -277,8 +285,7 @@ def cmd_carve(dim, omega, verify) -> None:
         "success_prob_lower_bound": 1.0 - float(report.d) ** (report.omega - 1.0),
     }
     if verify:
-        rho = qstate.max_entangled(report.d).density()
-        outcome = locc.apply_selective(report.channel, rho)
+        outcome = locc.apply_selective(report.channel, qstate.max_entangled(report.d))
         target = qstate.max_entangled(2**report.n_pairs).density()
         residual = float(np.abs(outcome.normalized().matrix - target.matrix).max())
         doc["simulated_success_prob"] = outcome.probability

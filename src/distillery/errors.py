@@ -21,6 +21,7 @@ __all__ = [
     "EntropyTooHighError",
     "DecoderBudgetError",
     "InvalidDistributionError",
+    "FileAccessError",
 ]
 
 
@@ -126,3 +127,9 @@ class InvalidDistributionError(DistilleryError):
     """Probability vector fails validation."""
 
     code = "invalid_distribution"
+
+
+class FileAccessError(DistilleryError):
+    """An input file cannot be read or an output file cannot be written."""
+
+    code = "file_access"

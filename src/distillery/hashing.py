@@ -89,6 +89,8 @@ class SourceDist:
         values = tuple(float(v) for v in self.p)
         if len(values) != 4:
             raise InvalidDistributionError(f"need four symbol weights, got {len(values)}")
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidDistributionError(f"non-finite probability in {values}")
         if min(values) < 0.0:
             raise InvalidDistributionError(f"negative probability {min(values)}")
         if abs(sum(values) - 1.0) > _SUM_TOL:

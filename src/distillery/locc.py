@@ -9,6 +9,7 @@ than decided algorithmically.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,8 +25,10 @@ from .errors import (
 )
 from .qstate import (
     DensityOperator,
+    PureState,
     UnnormalizedOperator,
-    format_real,
+    _matrix_from_json,
+    _matrix_to_json,
     max_side_dim,
 )
 
@@ -73,6 +76,53 @@ def _is_product_form(op, in_dims, out_dims) -> bool:
     return len(s) < 2 or s[1] < PRODUCT_FORM_TOL
 
 
+# The certificates below only ever accept; whatever they cannot certify goes
+# to the dense checks, which decide and word the error.  They accept at half
+# the tolerance so that an accepted quantity sits far enough below the
+# tolerance that the rounding of the dense computation could not have
+# tipped it over.
+_CERTIFICATE_SLACK = 0.5
+
+
+def _product_certificate(op, in_dims, out_dims):
+    """Factors (A, B) and ||op - A (x) B||_F, or None if op is not certified product.
+
+    A one-pivot cross approximation of the rearranged operator M gives the
+    rank-one u v^T; the second singular value of M is at most ||M - u v^T||_F,
+    so a residual below half the tolerance certifies what ``_is_product_form``
+    would decide, without an SVD.
+    """
+    a_in, b_in = in_dims
+    a_out, b_out = out_dims
+    m = op.reshape(a_out, b_out, a_in, b_in).transpose(0, 2, 1, 3).reshape(a_out * a_in, -1)
+    i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)
+    pivot = m[i, j]
+    u = m[:, j]
+    v = m[i] / pivot if pivot != 0 else np.zeros_like(m[i])
+    residual = float(np.linalg.norm(m - np.outer(u, v)))
+    if not residual < _CERTIFICATE_SLACK * PRODUCT_FORM_TOL:
+        return None
+    return u.reshape(a_out, a_in), v.reshape(b_out, b_in), residual
+
+
+def _completeness_certified(factors) -> bool:
+    """Certify max eig sum_k K_k^dag K_k <= 1 + tol from the factors of K_k.
+
+    With P_k = A_k (x) B_k, Gershgorin on sum_k (A_k^dag A_k) (x) (B_k^dag B_k)
+    bounds its top eigenvalue g by the largest sum_k rA_k[a] rB_k[b], where
+    rA_k and rB_k are the row sums of |A_k^dag A_k| and |B_k^dag B_k|: O(K d^2)
+    work instead of an eigensolve of the d^2 x d^2 sum.  The factoring errors
+    E_k = K_k - P_k add at most their joint norm e: for a unit vector x,
+    sqrt(sum_k |K_k x|^2) <= sqrt(g) + sqrt(sum_k ||E_k||_F^2).
+    """
+    row_sums_a = np.array([np.abs(a.conj().T @ a).sum(axis=1) for a, _, _ in factors])
+    row_sums_b = np.array([np.abs(b.conj().T @ b).sum(axis=1) for _, b, _ in factors])
+    gershgorin = float((row_sums_a.T @ row_sums_b).max())
+    error = math.sqrt(sum(e * e for _, _, e in factors))
+    bound = (math.sqrt(gershgorin) + error) ** 2
+    return bound <= 1.0 + _CERTIFICATE_SLACK * COMPLETENESS_TOL
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Operator-sum map with declared input bipartition and output copy layout.
@@ -80,7 +130,9 @@ class KrausChannel:
     ``trace_preserving`` distinguishes full channels from selective branches
     (completeness sum at most the identity).  ``product_form`` declares every
     Kraus operator to factor as an Alice part tensor a Bob part; the claim is
-    verified numerically on construction.
+    verified numerically on construction.  Product channels are first checked
+    with certificates built from the local factors; the dense SVD and the
+    eigensolve of the completeness sum run only where those fail.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -108,21 +160,33 @@ class KrausChannel:
                 raise InvalidChannelError(
                     f"Kraus operator shape {op.shape} does not match ({dout}, {din})"
                 )
-        gram = sum(op.conj().T @ op for op in ops)
-        eigenvalues = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        if eigenvalues.max() > 1.0 + COMPLETENESS_TOL:
-            raise InvalidChannelError(
-                f"completeness sum exceeds the identity (max eigenvalue {eigenvalues.max():.12f})"
-            )
-        if self.trace_preserving:
-            residue = np.abs(gram - np.eye(din)).max()
-            if residue > COMPLETENESS_TOL:
+        # Product operators are certified cheaply first; the dense tests run
+        # only where a certificate fails, and they alone reject.
+        certified = None
+        if self.product_form:
+            certified = [_product_certificate(op, self.in_dims, self.out_dims) for op in ops]
+        if (
+            self.trace_preserving
+            or certified is None
+            or any(c is None for c in certified)
+            or not _completeness_certified(certified)
+        ):
+            gram = sum(op.conj().T @ op for op in ops)
+            eigenvalues = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+            if eigenvalues.max() > 1.0 + COMPLETENESS_TOL:
                 raise InvalidChannelError(
-                    f"declared trace preserving but completeness residue is {residue:.3e}"
+                    "completeness sum exceeds the identity "
+                    f"(max eigenvalue {eigenvalues.max():.12f})"
                 )
+            if self.trace_preserving:
+                residue = np.abs(gram - np.eye(din)).max()
+                if residue > COMPLETENESS_TOL:
+                    raise InvalidChannelError(
+                        f"declared trace preserving but completeness residue is {residue:.3e}"
+                    )
         if self.product_form:
             for i, op in enumerate(ops):
-                if not _is_product_form(op, self.in_dims, self.out_dims):
+                if certified[i] is None and not _is_product_form(op, self.in_dims, self.out_dims):
                     raise InvalidChannelError(
                         f"Kraus operator {i} is not a product of local operators"
                     )
@@ -224,13 +288,16 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
 
 
 def apply_selective(
-    op: LocalFilter | KrausChannel, rho: DensityOperator
+    op: LocalFilter | KrausChannel, rho: DensityOperator | PureState
 ) -> SelectiveOutcome:
     """Apply a filter or a sub-channel branch, keeping the outcome weight.
 
+    A ``PureState`` input is never expanded to its density matrix: the branch
+    is sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
     Raises ZeroProbabilityError when the branch weight falls below 1e-12, so
     callers never divide by a numerically vanished trace.
     """
+    pure = isinstance(rho, PureState)
     if isinstance(op, LocalFilter):
         if not op.normalized:
             raise InvalidFilterError(
@@ -242,14 +309,22 @@ def apply_selective(
                 f"filter input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
             )
         m = np.kron(op.a_op, op.b_op)
-        out = m @ rho.matrix @ m.conj().T
+        if pure:
+            v = m @ rho.amplitudes
+            out = np.outer(v, v.conj())
+        else:
+            out = m @ rho.matrix @ m.conj().T
         out_factors = (op.out_dims,)
     elif isinstance(op, KrausChannel):
         if op.in_dims != (rho.dim_a, rho.dim_b):
             raise DimensionMismatchError(
                 f"channel input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
             )
-        out = sum(k @ rho.matrix @ k.conj().T for k in op.kraus_ops)
+        if pure:
+            images = (k @ rho.amplitudes for k in op.kraus_ops)
+            out = sum(np.outer(v, v.conj()) for v in images)
+        else:
+            out = sum(k @ rho.matrix @ k.conj().T for k in op.kraus_ops)
         out_factors = op.out_factors
     else:
         raise TypeError(f"expected LocalFilter or KrausChannel, got {type(op)!r}")
@@ -371,14 +446,6 @@ def carve_pairs(d: int, omega: float) -> CarveReport:
 # --- JSON channel format ---------------------------------------------------
 
 
-def _matrix_to_json(m: np.ndarray) -> str:
-    rows = []
-    for row in m:
-        cells = ",".join(f"[{format_real(v.real)},{format_real(v.imag)}]" for v in row)
-        rows.append(f"[{cells}]")
-    return "[" + ",".join(rows) + "]"
-
-
 def channel_to_json(channel: KrausChannel) -> str:
     ops = ",".join(_matrix_to_json(k) for k in channel.kraus_ops)
     factors = ",".join(f"[{a},{b}]" for a, b in channel.out_factors)
@@ -386,8 +453,6 @@ def channel_to_json(channel: KrausChannel) -> str:
         f'"product_form":{str(channel.product_form).lower()},'
         f'"trace_preserving":{str(channel.trace_preserving).lower()}'
     )
-    import json
-
     prov = json.dumps(channel.provenance)
     return (
         f'{{"in_dims":[{channel.in_dims[0]},{channel.in_dims[1]}],'
@@ -396,19 +461,18 @@ def channel_to_json(channel: KrausChannel) -> str:
 
 
 def channel_from_json(text: str) -> KrausChannel:
-    import json
-
     doc = json.loads(text)
-    ops = []
-    for raw in doc["kraus_ops"]:
-        m = np.array(
-            [[complex(cell[0], cell[1]) for cell in row] for row in raw], dtype=complex
-        )
-        ops.append(m)
+    try:
+        raw_ops = list(doc["kraus_ops"])
+        a_in, b_in = doc["in_dims"]
+        out_factors = tuple((int(a), int(b)) for a, b in doc["out_factors"])
+        in_dims = (int(a_in), int(b_in))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidChannelError(f"malformed channel document: {exc}") from exc
     return KrausChannel(
-        kraus_ops=tuple(ops),
-        in_dims=tuple(doc["in_dims"]),
-        out_factors=tuple(tuple(p) for p in doc["out_factors"]),
+        kraus_ops=tuple(_matrix_from_json(raw, InvalidChannelError) for raw in raw_ops),
+        in_dims=in_dims,
+        out_factors=out_factors,
         product_form=bool(doc.get("product_form", False)),
         trace_preserving=bool(doc.get("trace_preserving", False)),
         provenance=str(doc.get("provenance", "")),

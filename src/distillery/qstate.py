@@ -355,13 +355,35 @@ def format_real(x: float, sig: int = 17) -> str:
     return format(float(x), f".{sig}g")
 
 
-def state_to_json(rho: DensityOperator) -> str:
+def _matrix_to_json(m: np.ndarray) -> str:
+    """Row-major ``[[[re, im], ...], ...]`` with 17 significant digits."""
     rows = []
-    for row in rho.matrix:
+    for row in m:
         cells = ",".join(f"[{format_real(v.real)},{format_real(v.imag)}]" for v in row)
         rows.append(f"[{cells}]")
-    body = ",".join(rows)
-    return f'{{"dim_a":{rho.dim_a},"dim_b":{rho.dim_b},"matrix":[{body}]}}'
+    return "[" + ",".join(rows) + "]"
+
+
+def _matrix_from_json(raw, error: type[Exception]) -> np.ndarray:
+    """Parse the cell layout ``_matrix_to_json`` writes into a complex matrix.
+
+    Anything else (ragged rows, cells that are not ``[re, im]`` pairs of
+    numbers, non-finite parts) raises ``error``.  The real and imaginary
+    parts are stored bit for bit, signed zeros included.
+    """
+    try:
+        cells = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"matrix is not a rectangular array of [re, im] cells: {exc}") from exc
+    if cells.ndim != 3 or cells.shape[2] != 2:
+        raise error(f"matrix is not a rectangular array of [re, im] cells (shape {cells.shape})")
+    if not np.isfinite(cells).all():
+        raise error("matrix has a non-finite cell")
+    return np.ascontiguousarray(cells).view(complex)[..., 0]
+
+
+def state_to_json(rho: DensityOperator) -> str:
+    return f'{{"dim_a":{rho.dim_a},"dim_b":{rho.dim_b},"matrix":{_matrix_to_json(rho.matrix)}}}'
 
 
 def state_from_json(text: str) -> DensityOperator:
@@ -374,11 +396,8 @@ def state_from_json(text: str) -> DensityOperator:
         raw = doc["matrix"]
     except (KeyError, TypeError) as exc:
         raise InvalidStateError(f"malformed state document: {exc}") from exc
+    m = _matrix_from_json(raw, InvalidStateError)
     dim = dim_a * dim_b
-    if len(raw) != dim or any(len(row) != dim for row in raw):
+    if m.shape != (dim, dim):
         raise InvalidStateError(f"matrix is not {dim} x {dim}")
-    m = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(raw):
-        for j, cell in enumerate(row):
-            m[i, j] = complex(float(cell[0]), float(cell[1]))
     return DensityOperator.from_matrix(m, dim_a, dim_b)

@@ -229,3 +229,70 @@ def test_malformed_state_files(runner, tmp_path):
     doc["matrix"][0][0] = [5.0, 0.0]  # breaks the unit trace
     unphysical.write_text(json.dumps(doc))
     invoke_fail(runner, ["check", "--in", str(unphysical)], "invalid_state")
+
+
+def test_unreadable_and_unwritable_files(runner, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for args in (
+        ["check", "--in", missing],
+        ["twirl", "--in", missing],
+        ["search-projection", "--in", missing, "--trials", "1"],
+        ["state", "file", "--in", missing],
+        ["check", "--in", str(tmp_path)],  # a directory, not a file
+    ):
+        doc = invoke_fail(runner, args, "file_access")
+        assert "missing.json" in doc["message"] or str(tmp_path) in doc["message"]
+
+    nowhere = str(tmp_path / "no-such-dir" / "out")
+    path = write_state(tmp_path, bell.werner(0.7))
+    invoke_fail(runner, ["state", "werner", "--F", "0.7", "--out", nowhere], "file_access")
+    invoke_fail(runner, ["check", "--in", path, "--out", nowhere], "file_access")
+    invoke_fail(
+        runner, ["recurrence", "--F0", "0.7", "--F-target", "0.9", "--out", nowhere], "file_access"
+    )
+    args = [
+        "hashing", "simulate", "--n", "8", "--p0", "1", "--p1", "0", "--p2", "0", "--p3", "0",
+        "--trials", "1", "--trials-out", nowhere,
+    ]  # fmt: skip
+    invoke_fail(runner, args, "file_access")
+
+
+def test_malformed_matrix_cells(runner, tmp_path):
+    bad = tmp_path / "bad.json"
+    for matrix in ("[[1]]", "[[[1]]]", '[["1"]]', "[[null]]", "[[[NaN, 0]]]"):
+        bad.write_text(f'{{"dim_a":1,"dim_b":1,"matrix":{matrix}}}')
+        invoke_fail(runner, ["check", "--in", str(bad)], "invalid_state")
+
+
+def test_hashing_simulate_nan_probability(runner):
+    # NaN slips through the sum check (every comparison with it is false)
+    # and is stopped by the source distribution itself
+    args = [
+        "hashing", "simulate", "--n", "8",
+        "--p0", "nan", "--p1", "0.5", "--p2", "0.25", "--p3", "0.25",
+        "--trials", "2",
+    ]  # fmt: skip
+    invoke_fail(runner, args, "invalid_distribution")
+
+
+def test_check_output_is_pinned(runner, tmp_path):
+    # check prints exactly what it printed before it shared the PPT helper
+    path = write_state(tmp_path, bell.werner(0.7))
+    assert invoke_ok(runner, ["check", "--in", path]).stdout == (
+        '{"dim_a":2,"dim_b":2,"ppt_min_eigenvalue":-0.19999999999999996,'
+        '"fully_entangled_fraction":0.69999999999999973,"entangled":true}\n'
+    )
+    path = write_state(tmp_path, qstate.max_entangled(3).density())
+    assert invoke_ok(runner, ["check", "--in", path]).stdout == (
+        '{"dim_a":3,"dim_b":3,"ppt_min_eigenvalue":-0.33333333333333343,'
+        '"fully_entangled_fraction":null,"entangled":null}\n'
+    )
+
+
+def test_carve_verify_at_the_dimension_cap(runner):
+    args = ["carve", "--d", "64", "--omega", "0.8", "--verify"]
+    doc = json.loads(invoke_ok(runner, args).stdout)
+    assert (doc["d"], doc["n_pairs"], doc["kappa"]) == (64, 4, 4)
+    assert doc["success_prob"] == 1.0
+    assert abs(doc["simulated_success_prob"] - 1.0) < 1e-12
+    assert doc["output_residual"] < 1e-12

@@ -579,3 +579,12 @@ def test_net_rate():
         net_rate(2, -0.1)
     with pytest.raises(DimensionMismatchError):
         net_rate(0, 0.5)
+
+
+def test_source_dist_rejects_non_finite_weights():
+    for bad in (math.nan, math.inf, -math.inf):
+        for slot in range(4):
+            p = [0.25, 0.25, 0.25, 0.25]
+            p[slot] = bad
+            with pytest.raises(InvalidDistributionError):
+                SourceDist(tuple(p))

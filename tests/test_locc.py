@@ -4,10 +4,14 @@ Selective maps are cross-checked against dense (A tensor B) rho (A tensor B)†
 arithmetic done inline, and carving against the block-projector definition.
 """
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+
+from distillery import locc
 
 from distillery.errors import (
     DimensionMismatchError,
@@ -18,6 +22,8 @@ from distillery.errors import (
     ZeroProbabilityError,
 )
 from distillery.locc import (
+    COMPLETENESS_TOL,
+    PRODUCT_FORM_TOL,
     CarveReport,
     KrausChannel,
     LocalFilter,
@@ -33,6 +39,7 @@ from distillery.locc import (
 )
 from distillery.qstate import (
     DensityOperator,
+    PureState,
     UnnormalizedOperator,
     max_entangled,
     partial_trace,
@@ -40,7 +47,12 @@ from distillery.qstate import (
     tensor_product,
     trace_norm_distance,
 )
-from distillery.sampling import haar_unitary, random_density_operator, random_separable
+from distillery.sampling import (
+    haar_unitary,
+    random_density_operator,
+    random_pure_state,
+    random_separable,
+)
 
 
 def maximally_mixed(dim_a: int, dim_b: int) -> DensityOperator:
@@ -275,8 +287,7 @@ def test_carve_small_examples():
 
 def test_carve_probability_lower_bound():
     # kappa 2^M / d >= 1 - d^(omega - 1) whenever M >= 1; pure arithmetic up
-    # to the dimension cap, and the constructed reports agree on d <= 16
-    # (larger d would spend seconds validating channels this test never runs)
+    # to the dimension cap, and the constructed reports agree everywhere
     for d in range(2, 65):
         for omega in (0.3, 0.5, 0.8):
             pairs = math.floor(omega * math.log2(d))
@@ -285,11 +296,10 @@ def test_carve_probability_lower_bound():
             block = 2**pairs
             kappa = d // block
             assert kappa * block / d >= 1.0 - d ** (omega - 1.0) - 1e-12
-            if d <= 16:
-                rep = carve_pairs(d, omega)
-                assert rep.n_pairs == pairs
-                assert rep.kappa == kappa
-                assert abs(rep.success_prob - kappa * block / d) < 1e-12
+            rep = carve_pairs(d, omega)
+            assert rep.n_pairs == pairs
+            assert rep.kappa == kappa
+            assert abs(rep.success_prob - kappa * block / d) < 1e-12
 
 
 def test_carve_channel_structure():
@@ -331,3 +341,237 @@ def test_channel_json_roundtrip():
     for x, y in zip(back.kraus_ops, chan.kraus_ops):
         assert np.array_equal(x, y)
     assert channel_to_json(back) == text
+
+
+# --- certified channel checks against the dense reference -------------------
+
+
+def dense_channel_check(ops, in_dims, out_factors, product_form, trace_preserving):
+    """The dense validation KrausChannel ran before it certified product
+    channels: d^2 x d^2 completeness eigensolve, then the SVD per operator.
+    Returns None on acceptance, else (exception class, message)."""
+    a_out = math.prod(a for a, _ in out_factors)
+    b_out = math.prod(b for _, b in out_factors)
+    ops = [np.array(k, dtype=complex) for k in ops]
+    gram = sum(op.conj().T @ op for op in ops)
+    eigenvalues = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+    if eigenvalues.max() > 1.0 + COMPLETENESS_TOL:
+        return InvalidChannelError, (
+            f"completeness sum exceeds the identity (max eigenvalue {eigenvalues.max():.12f})"
+        )
+    if trace_preserving:
+        residue = np.abs(gram - np.eye(gram.shape[0])).max()
+        if residue > COMPLETENESS_TOL:
+            return InvalidChannelError, (
+                f"declared trace preserving but completeness residue is {residue:.3e}"
+            )
+    if product_form:
+        for i, op in enumerate(ops):
+            arr = op.reshape(a_out, b_out, *in_dims).transpose(0, 2, 1, 3)
+            s = np.linalg.svd(arr.reshape(a_out * in_dims[0], -1), compute_uv=False)
+            if not (len(s) < 2 or s[1] < PRODUCT_FORM_TOL):
+                return InvalidChannelError, (
+                    f"Kraus operator {i} is not a product of local operators"
+                )
+    return None
+
+
+def assert_matches_dense(ops, in_dims, out_factors, product_form=True, trace_preserving=False):
+    expected = dense_channel_check(ops, in_dims, out_factors, product_form, trace_preserving)
+    try:
+        KrausChannel(tuple(ops), in_dims, out_factors, product_form, trace_preserving)
+    except InvalidChannelError as exc:
+        assert expected == (type(exc), str(exc))
+        return False
+    assert expected is None
+    return True
+
+
+def random_op(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def block_projection_channel(d, block, scales):
+    """Carving-style operators pi_j (x) pi_j with pi_j the j-th aligned block."""
+    ops = []
+    for j, c in enumerate(scales):
+        pi = np.zeros((block, d))
+        pi[np.arange(block), j * block + np.arange(block)] = 1.0
+        ops.append(c * np.kron(pi, pi))
+    return ops
+
+
+def scaled_to(ops, top):
+    gram = sum(k.conj().T @ k for k in ops)
+    scale = math.sqrt(top / np.linalg.eigvalsh(gram).max())
+    return [scale * k for k in ops]
+
+
+def test_product_certificates_match_dense_checks():
+    rng = np.random.default_rng(31)
+    outcomes = []
+    # random product channels under and over the completeness bound; their
+    # Gershgorin bound is loose, so the dense check decides
+    for dims in (((2, 3), (2, 2)), ((3, 3), (2, 3)), ((4, 2), (1, 3))):
+        (a_in, b_in), (a_out, b_out) = dims
+        for count in (1, 2, 5):
+            ops = [
+                np.kron(random_op(rng, a_out, a_in), random_op(rng, b_out, b_in))
+                for _ in range(count)
+            ]
+            for top in (0.2, 0.999, 1.0, 1.0 + 5e-10, 1.0 + 3e-9, 1.7):
+                scaled = scaled_to(ops, top)
+                outcomes.append(assert_matches_dense(scaled, (a_in, b_in), ((a_out, b_out),)))
+    # block projections: the certificate is tight, so it decides these, up to
+    # scales whose bound sits between half the tolerance and the tolerance
+    for d, block in ((4, 2), (6, 2), (8, 4), (9, 2)):
+        kappa = d // block
+        for c in (0.5, 1.0, 1.0 + 1e-10, 1.0 + 4e-10, 1.0 + 2e-9, 1.3):
+            ops = block_projection_channel(d, block, [c] * kappa)
+            outcomes.append(assert_matches_dense(ops, (d, d), ((block, block),)))
+        ops = block_projection_channel(d, block, [1.0] * (kappa - 1) + [1.2])
+        outcomes.append(assert_matches_dense(ops, (d, d), ((block, block),)))
+    assert True in outcomes and False in outcomes
+    # certified product within its factoring error, and that error alone
+    # lifts the completeness sum to 1 + 4e-9: the certificate must count it
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    op = np.eye(4) + 2e-9 * np.kron(x, x)
+    assert locc._product_certificate(op, (2, 2), (2, 2)) is not None
+    assert not assert_matches_dense([op], (2, 2), ((2, 2),))
+
+
+def test_non_product_operators_match_dense_checks():
+    rng = np.random.default_rng(32)
+    swap = np.zeros((4, 4))
+    for i in range(2):
+        for j in range(2):
+            swap[j * 2 + i, i * 2 + j] = 1.0
+    assert not assert_matches_dense([swap], (2, 2), ((2, 2),), trace_preserving=True)
+    assert not assert_matches_dense([0.5 * swap], (2, 2), ((2, 2),))
+    assert not assert_matches_dense([2.0 * swap], (2, 2), ((2, 2),))  # completeness first
+    for noise in (1e-13, 4e-9, 9e-9, 2e-8, 1e-6, 0.3):
+        for bad in (0, 1, 2):
+            ops = []
+            for i in range(3):
+                op = np.kron(random_op(rng, 2, 3), random_op(rng, 2, 2))
+                if i == bad:
+                    perturbation = random_op(rng, 4, 6)
+                    perturbation = perturbation / np.linalg.norm(perturbation)
+                    op = op / np.linalg.norm(op, 2) + noise * perturbation
+                ops.append(op)
+            assert_matches_dense(scaled_to(ops, 0.9), (3, 2), ((2, 2),))
+    # a near-product operator that the dense SVD accepts but whose cross
+    # approximation misses half the tolerance: the fallback decides
+    op = np.kron(np.eye(2), np.eye(2)) / 2
+    op = op + 7e-9 * np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
+    assert assert_matches_dense([op], (2, 2), ((2, 2),))
+    assert locc._product_certificate(op, (2, 2), (2, 2)) is None
+
+
+def test_trace_preserving_channels_match_dense_checks():
+    rng = np.random.default_rng(33)
+    from distillery.bell import twirl_unitaries
+
+    twirl_ops = [v / math.sqrt(12.0) for v in twirl_unitaries()]
+    assert assert_matches_dense(twirl_ops, (2, 2), ((2, 2),), trace_preserving=True)
+    halved = [0.5 * v for v in twirl_ops]
+    assert not assert_matches_dense(halved, (2, 2), ((2, 2),), trace_preserving=True)
+    for _ in range(5):
+        ops = [np.kron(haar_unitary(3, rng), haar_unitary(2, rng)) / math.sqrt(3) for _ in range(3)]
+        assert assert_matches_dense(ops, (3, 2), ((3, 2),), trace_preserving=True)
+        assert not assert_matches_dense(ops[:2], (3, 2), ((3, 2),), trace_preserving=True)
+        ops[1] = ops[1] * (1.0 + 1e-6)
+        assert not assert_matches_dense(ops, (3, 2), ((3, 2),), trace_preserving=True)
+
+
+def test_completeness_fallback_when_gershgorin_is_loose():
+    # A = diag(1, 1/2) U has top singular value 1, so the channel {A (x) I}
+    # is complete to within rounding; |A^dag A| has row sums above 1 for a
+    # generic U, so the certificate fails and the dense eigensolve accepts
+    rng = np.random.default_rng(34)
+    a = np.diag([1.0, 0.5]) @ haar_unitary(2, rng)
+    op = np.kron(a, np.eye(3))
+    certified = [locc._product_certificate(op, (2, 3), (2, 3))]
+    assert certified[0] is not None
+    assert not locc._completeness_certified(certified)
+    assert assert_matches_dense([op], (2, 3), ((2, 3),))
+    assert not assert_matches_dense([1.01 * op], (2, 3), ((2, 3),))
+    # while carving channels pass on the certificate alone
+    chan = carve_pairs(12, 0.5).channel
+    certified = [locc._product_certificate(k, chan.in_dims, chan.out_dims) for k in chan.kraus_ops]
+    assert locc._completeness_certified(certified)
+
+
+def test_apply_selective_pure_state_matches_density_route():
+    rng = np.random.default_rng(35)
+    for dim_a, dim_b in ((2, 2), (3, 2), (2, 4)):
+        for _ in range(5):
+            psi = random_pure_state(dim_a, dim_b, rng)
+            a = random_op(rng, 2, dim_a)
+            b = random_op(rng, 2, dim_b)
+            f = LocalFilter(a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2))
+            ops = [np.kron(random_op(rng, 2, dim_a), random_op(rng, 1, dim_b)) for _ in range(3)]
+            ops = scaled_to(ops, 0.8)
+            chan = KrausChannel(tuple(ops), (dim_a, dim_b), ((2, 1),), product_form=True)
+            for op in (f, chan):
+                pure = apply_selective(op, psi)
+                dense = apply_selective(op, psi.density())
+                assert abs(pure.probability - dense.probability) < 1e-12
+                assert pure.unnormalized_state.factors == dense.unnormalized_state.factors
+                diff = pure.unnormalized_state.matrix - dense.unnormalized_state.matrix
+                assert np.abs(diff).max() < 1e-12
+    for d, omega in ((5, 0.5), (16, 0.5), (12, 0.8)):
+        rep = carve_pairs(d, omega)
+        pure = apply_selective(rep.channel, max_entangled(d))
+        dense = apply_selective(rep.channel, max_entangled(d).density())
+        assert abs(pure.probability - dense.probability) < 1e-12
+        diff = pure.unnormalized_state.matrix - dense.unnormalized_state.matrix
+        assert np.abs(diff).max() < 1e-12
+    with pytest.raises(DimensionMismatchError):
+        apply_selective(carve_pairs(5, 0.5).channel, max_entangled(4))
+    with pytest.raises(DimensionMismatchError):
+        apply_selective(LocalFilter(np.eye(3), np.eye(2)), max_entangled(2))
+    zero = PureState(2, 2, np.array([1.0, 0, 0, 0]))
+    with pytest.raises(ZeroProbabilityError):
+        apply_selective(LocalFilter(np.diag([0.0, 1.0]), np.eye(2)), zero)
+
+
+def test_channel_json_output_is_pinned():
+    # strings written before states and channels shared one matrix codec
+    u = haar_unitary(2, np.random.default_rng(6))
+    chan = KrausChannel(
+        (u / math.sqrt(2), np.diag([1, -1]) / math.sqrt(2)),
+        (1, 2),
+        ((1, 2),),
+        trace_preserving=True,
+        provenance='a "quoted" note',
+    )
+    assert channel_to_json(chan) == (
+        '{"in_dims":[1,2],"out_factors":[[1,2]],"product_form":false,"trace_preserving":true,'
+        '"provenance":"a \\"quoted\\" note","kraus_ops":'
+        "[[[[0.24707935270020326,0.23783628185354005],[0.31720163191263151,0.53081900984732588]],"
+        "[[-0.59904686831707943,0.1533901759006483],"
+        "[0.34291003666261516,0.0051971388967187414]]],[[[0.70710678118654746,0],[0,0]],"
+        "[[0,0],[-0.70710678118654746,0]]]]}"
+    )
+    text = channel_to_json(carve_pairs(6, 0.5).channel)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "839cd3d956e6b1001cb8bf90b453b264ff5db5b9a7713e9916f0baedb90c0b12"
+
+
+def test_channel_json_rejects_malformed_documents():
+    good = json.loads(channel_to_json(carve_pairs(4, 0.5).channel))
+    for cells in ([[1]], [[[1]]], [[[1, 0, 0]]], [[None]], [[["x", 0]]], [[[1, 0]], []], 5):
+        doc = dict(good, kraus_ops=[cells])
+        with pytest.raises(InvalidChannelError):
+            channel_from_json(json.dumps(doc))
+    with pytest.raises(InvalidChannelError):
+        channel_from_json(json.dumps(dict(good, kraus_ops=[[[[float("nan"), 0]]]])))
+    broken = {"in_dims": [4], "out_factors": [[2]], "kraus_ops": 3}
+    for key, value in list(broken.items()) + [("in_dims", None)]:
+        with pytest.raises(InvalidChannelError):
+            channel_from_json(json.dumps(dict(good, **{key: value})))
+    doc = dict(good)
+    del doc["kraus_ops"]
+    with pytest.raises(InvalidChannelError):
+        channel_from_json(json.dumps(doc))

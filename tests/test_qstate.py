@@ -5,6 +5,7 @@ an independently computed spectrum; library calls are never compared against
 themselves.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -283,3 +284,51 @@ def test_json_rejects_malformed_documents():
         state_from_json('{"dim_a":2,"matrix":[]}')
     with pytest.raises(InvalidStateError):
         state_from_json('{"dim_a":2,"dim_b":2,"matrix":[[[1,0]]]}')
+
+
+def test_state_json_output_is_pinned():
+    # strings written by the serializer before states and channels shared
+    # one matrix codec; a signed zero is written as "-0"
+    m = np.array([[0.75, complex(0.25, -0.1)], [complex(0.25, 0.1), complex(0.25, -0.0)]])
+    text = state_to_json(DensityOperator.from_matrix(m, 1, 2))
+    assert text == (
+        '{"dim_a":1,"dim_b":2,"matrix":[[[0.75,0],[0.25,-0.10000000000000001]],'
+        '[[0.25,0.10000000000000001],[0.25,-0]]]}'
+    )
+    # a float cell keeps its sign bit on the way in
+    back = state_from_json(text.replace("-0]", "-0.0]"))
+    assert np.array_equal(np.signbit(back.matrix.imag), np.signbit(m.imag))
+    from distillery.bell import werner
+
+    assert state_to_json(werner(0.7)) == (
+        '{"dim_a":2,"dim_b":2,"matrix":[[[0.39999999999999991,0],[0,0],[0,0],'
+        "[0.29999999999999993,0]],[[0,0],[0.10000000000000001,0],[-2.097635522744312e-18,0],"
+        "[0,0]],[[0,0],[-2.097635522744312e-18,0],[0.10000000000000001,0],[0,0]],"
+        "[[0.29999999999999993,0],[0,0],[0,0],[0.39999999999999991,0]]]}"
+    )
+    text = state_to_json(random_density_operator(2, 3, np.random.default_rng(5)))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "4c5cbae623ca11c87cf688966faadf6c7c1336b992b1ba2d1508e453631c370f"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "[[1]]",  # a bare number where a [re, im] pair belongs
+        "[[[1]]]",
+        "[[[1, 0, 0]]]",
+        '[[{"re": 1, "im": 0}]]',
+        "[[null]]",
+        "[[[NaN, 0]]]",
+        "[[[1, Infinity]]]",
+        "[[[1e400, 0]]]",
+        "[[[1" + "0" * 400 + ", 0]]]",
+        '[[["one", 0]]]',
+        "[[[1, 0]], [[1, 0], [0, 0]]]",  # ragged rows
+        "5",
+        "[]",
+    ],
+)
+def test_json_rejects_malformed_cells(matrix):
+    with pytest.raises(InvalidStateError):
+        state_from_json(f'{{"dim_a":1,"dim_b":1,"matrix":{matrix}}}')
