@@ -18,8 +18,12 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidStateError, ZeroProbabilityError
 from .locc import SelectiveOutcome, apply_selective, LocalFilter
 from .qstate import (
+    _EPS,
     DensityOperator,
     PureState,
+    _built,
+    _conjugation_floor,
+    _spectral_norm_sq_bound,
     partial_transpose,
     sym,
 )
@@ -79,19 +83,30 @@ def bell_state(label: int) -> PureState:
     return PureState(2, 2, bell_vector(label))
 
 
+_MAGIC = np.stack(
+    [
+        _BELL_COLUMNS[:, 0],
+        1j * _BELL_COLUMNS[:, 2],
+        1j * _BELL_COLUMNS[:, 1],
+        _BELL_COLUMNS[:, 3],
+    ],
+    axis=1,
+)
+_MAGIC.setflags(write=False)
+_MAGIC_ADJOINT = _MAGIC.conj().T
+
+
 def magic_basis_matrix() -> np.ndarray:
     """Columns Phi+, i*Phi-, i*Psi+, Psi-: the basis in which maximally
     entangled states are exactly the real unit combinations."""
-    cols = np.stack(
-        [
-            _BELL_COLUMNS[:, 0],
-            1j * _BELL_COLUMNS[:, 2],
-            1j * _BELL_COLUMNS[:, 1],
-            _BELL_COLUMNS[:, 3],
-        ],
-        axis=1,
-    )
-    return cols
+    return _MAGIC.copy()
+
+
+def _magic_real_part(rho: DensityOperator) -> np.ndarray:
+    """Symmetrized real part of the state in the magic basis, whose top
+    eigenpair is the fully entangled fraction and its maximizer."""
+    m = _MAGIC_ADJOINT @ rho.matrix @ _MAGIC
+    return (m.real + m.real.T) / 2
 
 
 @dataclass(frozen=True)
@@ -183,7 +198,11 @@ def twirl_unitaries() -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-_TWIRL_UNITARIES = twirl_unitaries()
+_TWIRL_PAIRS = tuple((v, v.conj().T) for v in twirl_unitaries())
+# The twirl unitaries and the Bell basis are unitary only up to rounding;
+# these bound their squared spectral norms.
+_TWIRL_NORM_SQ = max(_spectral_norm_sq_bound(v) for v, _ in _TWIRL_PAIRS)
+_BELL_NORM_SQ = _spectral_norm_sq_bound(_BELL_COLUMNS)
 
 
 def twirl(
@@ -199,13 +218,16 @@ def twirl(
     _require_two_qubit(rho, "twirl")
     if mode == "exact":
         acc = np.zeros((4, 4), dtype=complex)
-        for v in _TWIRL_UNITARIES:
-            acc += v @ rho.matrix @ v.conj().T
-        return DensityOperator(rho.factors, acc / 12.0)
+        for v, v_adjoint in _TWIRL_PAIRS:
+            acc += v @ rho.matrix @ v_adjoint
+        # The average of twelve conjugations: Kraus operators v / sqrt(12).
+        floor = _conjugation_floor(rho, _TWIRL_NORM_SQ, 4 * _TWIRL_NORM_SQ, 12)
+        return _built(DensityOperator, rho.factors, acc / 12.0, floor)
     if mode == "sampled":
         rng = np.random.default_rng(0 if seed is None else seed)
-        v = _TWIRL_UNITARIES[int(rng.integers(0, 12))]
-        return DensityOperator(rho.factors, v @ rho.matrix @ v.conj().T)
+        v, v_adjoint = _TWIRL_PAIRS[int(rng.integers(0, 12))]
+        floor = _conjugation_floor(rho, _TWIRL_NORM_SQ, 4 * _TWIRL_NORM_SQ, 1)
+        return _built(DensityOperator, rho.factors, v @ rho.matrix @ v_adjoint, floor)
     raise InvalidStateError(f"twirl mode must be 'exact' or 'sampled', got {mode!r}")
 
 
@@ -230,8 +252,13 @@ def bell_probs_from_density(rho: DensityOperator, project: bool = False) -> Bell
 
 
 def density_from_bell_probs(bp: BellProbs) -> DensityOperator:
-    m = (_BELL_COLUMNS * np.asarray(bp.p)) @ _BELL_COLUMNS.conj().T
-    return DensityOperator.from_matrix(m, 2, 2)
+    p = np.asarray(bp.p)
+    m = (_BELL_COLUMNS * p) @ _BELL_COLUMNS.conj().T
+    # B diag(p) B^dag >= min(p, 0) ||B||^2; scaling the columns rounds once and
+    # the product's length-4 complex dot products at most 6 more times.
+    scale = 4 * _BELL_NORM_SQ * float(np.abs(p).max())
+    floor = min(float(p.min()), 0.0) * _BELL_NORM_SQ - 8 * _EPS * scale
+    return _built(DensityOperator, ((2, 2),), m, floor)
 
 
 def fully_entangled_fraction(rho: DensityOperator) -> float:
@@ -242,10 +269,7 @@ def fully_entangled_fraction(rho: DensityOperator) -> float:
     expressed in that basis.
     """
     _require_two_qubit(rho, "fully_entangled_fraction")
-    magic = magic_basis_matrix()
-    m = magic.conj().T @ rho.matrix @ magic
-    real_part = (m.real + m.real.T) / 2
-    return float(np.linalg.eigvalsh(real_part).max())
+    return float(np.linalg.eigvalsh(_magic_real_part(rho)).max())
 
 
 def ppt_min_eigenvalue(rho: DensityOperator) -> float:

@@ -24,11 +24,19 @@ from .errors import (
     ZeroProbabilityError,
 )
 from .qstate import (
+    _CERTIFICATE_SLACK,
+    _EPS,
     DensityOperator,
     PureState,
     UnnormalizedOperator,
+    _built,
+    _conjugation_floor,
+    _frobenius_bound,
+    _json_loads,
     _matrix_from_json,
     _matrix_to_json,
+    _outer_products_floor,
+    _spectral_norm_sq_bound,
     max_side_dim,
 )
 
@@ -76,12 +84,17 @@ def _is_product_form(op, in_dims, out_dims) -> bool:
     return len(s) < 2 or s[1] < PRODUCT_FORM_TOL
 
 
-# The certificates below only ever accept; whatever they cannot certify goes
-# to the dense checks, which decide and word the error.  They accept at half
-# the tolerance so that an accepted quantity sits far enough below the
-# tolerance that the rounding of the dense computation could not have
-# tipped it over.
-_CERTIFICATE_SLACK = 0.5
+# Bounds on ||K||_2^2 that validation proves: each side of a normalized filter
+# has norm at most 1 + tol (up to the rounding of its check), and every Kraus
+# operator of a channel at most the completeness bound 1 + tol.
+_FILTER_NORM_SQ = (1.0 + 2 * COMPLETENESS_TOL) ** 4
+_KRAUS_NORM_SQ = 1.0 + 2 * COMPLETENESS_TOL
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product, bit for bit."""
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def _product_certificate(op, in_dims, out_dims):
@@ -232,6 +245,10 @@ class LocalFilter:
         object.__setattr__(self, "b_op", b)
         if self.normalized:
             for name, op in (("a_op", a), ("b_op", b)):
+                # A bound <= 1 + tol certifies a norm <= 1 + tol/2 without an
+                # SVD; the SVD decides and words the error otherwise.
+                if _spectral_norm_sq_bound(op) <= 1.0 + COMPLETENESS_TOL:
+                    continue
                 norm = np.linalg.norm(op, 2)
                 if norm > 1.0 + COMPLETENESS_TOL:
                     raise InvalidFilterError(
@@ -283,8 +300,10 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
         raise DimensionMismatchError(
             f"channel input {channel.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
         )
+    count = len(channel.kraus_ops)
     out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
-    return DensityOperator(channel.out_factors, out)
+    floor = _conjugation_floor(rho, count * _KRAUS_NORM_SQ, rho.dim * _KRAUS_NORM_SQ, count)
+    return _built(DensityOperator, channel.out_factors, out, floor)
 
 
 def apply_selective(
@@ -308,12 +327,13 @@ def apply_selective(
             raise DimensionMismatchError(
                 f"filter input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
             )
-        m = np.kron(op.a_op, op.b_op)
+        m = _kron(op.a_op, op.b_op)
         if pure:
             v = m @ rho.amplitudes
             out = np.outer(v, v.conj())
         else:
             out = m @ rho.matrix @ m.conj().T
+        count, norm_sq = 1, _FILTER_NORM_SQ
         out_factors = (op.out_dims,)
     elif isinstance(op, KrausChannel):
         if op.in_dims != (rho.dim_a, rho.dim_b):
@@ -325,6 +345,7 @@ def apply_selective(
             out = sum(np.outer(v, v.conj()) for v in images)
         else:
             out = sum(k @ rho.matrix @ k.conj().T for k in op.kraus_ops)
+        count, norm_sq = len(op.kraus_ops), _KRAUS_NORM_SQ
         out_factors = op.out_factors
     else:
         raise TypeError(f"expected LocalFilter or KrausChannel, got {type(op)!r}")
@@ -334,7 +355,12 @@ def apply_selective(
         raise ZeroProbabilityError(
             f"selective branch has probability {probability:.3e} <= {ZERO_PROBABILITY_TOL}"
         )
-    branch = UnnormalizedOperator(out_factors, out)
+    if pure:
+        # The trace is sum_k ||K_k psi||^2 up to rounding, so twice it bounds that sum.
+        floor = _outer_products_floor(count, 2 * probability)
+    else:
+        floor = _conjugation_floor(rho, count * norm_sq, rho.dim * norm_sq, count)
+    branch = _built(UnnormalizedOperator, out_factors, out, floor)
     return SelectiveOutcome(branch, probability)
 
 
@@ -358,8 +384,12 @@ def postselect_compose(
             f"vs ({tau.dim_a},{tau.dim_b})"
         )
     fail = (1.0 - p) ** n
-    mixed = (1.0 - fail) * rho_prime.matrix + fail * tau.matrix
-    return DensityOperator(rho_prime.factors, mixed)
+    keep = 1.0 - fail
+    mixed = keep * rho_prime.matrix + fail * tau.matrix
+    # A convex mixture mixes the floors; each entry rounds three times.
+    floor = keep * min(rho_prime._floor, 0.0) + fail * min(tau._floor, 0.0)
+    floor -= 2 * _EPS * (keep * _frobenius_bound(rho_prime) + fail * _frobenius_bound(tau))
+    return _built(DensityOperator, rho_prime.factors, mixed, floor)
 
 
 def support_projector(f: LocalFilter) -> tuple[np.ndarray, np.ndarray]:
@@ -461,7 +491,7 @@ def channel_to_json(channel: KrausChannel) -> str:
 
 
 def channel_from_json(text: str) -> KrausChannel:
-    doc = json.loads(text)
+    doc = _json_loads(text)
     try:
         raw_ops = list(doc["kraus_ops"])
         a_in, b_in = doc["in_dims"]

@@ -11,6 +11,14 @@ All operations are pure functions of immutable inputs; matrices handed to a
 constructor are copied and frozen.  Eigendecompositions always symmetrize
 their argument first, so tiny anti-Hermitian residue cannot leak into
 spectra.
+
+Validation happens once, where data enters: the public constructors run the
+full spectrum check.  Every operator keeps a lower bound on the smallest
+eigenvalue of its Hermitian part (its floor).  An operation that builds a new
+operator from validated ones passes on a rigorous floor for the result,
+including a bound on its own rounding error; the result runs the dense
+spectrum only when that floor is below half of ``EIGENVALUE_FLOOR``, so the
+dense check still makes, and words, every decision the floor cannot.
 """
 
 from __future__ import annotations
@@ -50,6 +58,14 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-10
+
+_EPS = float(np.finfo(float).eps)
+
+# Certificates only ever accept; whatever they cannot certify goes to the
+# dense check, which decides and words the error.  They accept at half the
+# tolerance so that an accepted quantity sits far enough inside it that the
+# rounding of the dense computation could not have tipped it over.
+_CERTIFICATE_SLACK = 0.5
 
 _DEFAULT_MAX_SIDE_DIM = 64
 _MAX_DIM_ENV = "DISTILLERY_MAX_DIM"
@@ -100,7 +116,16 @@ def sym(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().T) / 2
 
 
-def _validate_operator(matrix: np.ndarray, dim: int, *, unit_trace: bool) -> None:
+def _validate_operator(
+    matrix: np.ndarray, dim: int, *, unit_trace: bool, floor: float | None = None
+) -> float:
+    """Check shape, Hermiticity, trace and positivity; return the eigenvalue floor.
+
+    ``floor`` is a lower bound on the smallest eigenvalue of ``sym(matrix)``
+    carried over from the operation that built the matrix.  At or above half
+    of ``EIGENVALUE_FLOOR`` it stands in for the dense spectrum; otherwise
+    ``eigvalsh`` runs, and its minimum less a rounding margin is the floor.
+    """
     if matrix.shape != (dim, dim):
         raise InvalidStateError(
             f"matrix shape {matrix.shape} does not match declared dimension {dim}"
@@ -113,11 +138,97 @@ def _validate_operator(matrix: np.ndarray, dim: int, *, unit_trace: bool) -> Non
         raise InvalidStateError(f"trace {tr} is not 1 within {TRACE_TOL}")
     if not unit_trace and tr.real <= 0.0:
         raise InvalidStateError(f"trace {tr} is not positive")
+    if floor is not None and floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR:
+        return floor
     eigenvalues = np.linalg.eigvalsh(sym(matrix))
     if eigenvalues.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(
             f"matrix has eigenvalue {eigenvalues.min():.3e} below the floor {EIGENVALUE_FLOOR}"
         )
+    lowest, highest = float(eigenvalues[0]), float(eigenvalues[-1])
+    # A backward-stable eigensolver is off by a modest multiple of dim * eps * ||sym(matrix)||.
+    return lowest - 2 * (dim + 1) * _EPS * max(-lowest, highest)
+
+
+def _init_operator(op, *, unit_trace: bool) -> None:
+    """Shared ``__post_init__`` of the two operator types.
+
+    Normalizes and freezes the fields, records ``dim_a``, ``dim_b`` and
+    ``dim`` once, validates, and keeps the eigenvalue floor in ``_floor``.
+    Only ``_built`` sets ``_floor`` before this runs.
+    """
+    factors = _normalize_factors(op.factors)
+    object.__setattr__(op, "factors", factors)
+    object.__setattr__(op, "matrix", _frozen_matrix(op.matrix))
+    dim_a = math.prod(a for a, _ in factors)
+    dim_b = math.prod(b for _, b in factors)
+    op.__dict__.update(dim_a=dim_a, dim_b=dim_b, dim=dim_a * dim_b)
+    _check_cap(dim_a, dim_b)
+    floor = _validate_operator(
+        op.matrix, dim_a * dim_b, unit_trace=unit_trace, floor=op.__dict__.get("_floor")
+    )
+    op.__dict__["_floor"] = floor
+
+
+def _built(cls, factors, matrix: np.ndarray, floor: float):
+    """An operator the library computed, with a floor proved for it.
+
+    Runs the class's own ``__post_init__``, so every check except the dense
+    spectrum still runs, and that one runs too when the floor is not
+    certified.
+    """
+    op = cls.__new__(cls)
+    op.__dict__.update(factors=factors, matrix=matrix, _floor=floor)
+    op.__post_init__()
+    return op
+
+
+def _frobenius_bound(op, trace: float = 1.0 + TRACE_TOL) -> float:
+    """Upper bound on ||op.matrix||_F for a validated operator of real trace <= trace.
+
+    The Hermitian part's Frobenius norm is at most the sum of its absolute
+    eigenvalues, trace + 2 * (the negative ones), and each entry of the
+    anti-Hermitian part is at most HERMITICITY_TOL / 2.
+    """
+    return trace + op.dim * (2.0 * max(-op._floor, 0.0) + HERMITICITY_TOL / 2)
+
+
+def _conjugation_floor(rho, spectral_sq: float, frobenius_sq: float, terms: int) -> float:
+    """Floor of sum_k K_k rho K_k^dag, summed from ``terms`` rounded triple products.
+
+    ``spectral_sq`` bounds sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds
+    sum_k ||K_k||_F^2.  If sym(rho) >= f then the exact sum is at least
+    min(f, 0) * spectral_sq.  Each product rounds by at most
+    2 (n + 2) eps |K_k| |rho| |K_k^dag| entrywise (complex dot products of
+    length n), and the sum and one final scaling add ``terms`` + 1 roundings.
+    """
+    steps = 2 * (rho.dim + 2) + terms + 1
+    rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho)
+    return min(rho._floor, 0.0) * spectral_sq - rounding
+
+
+def _outer_products_floor(count: int, weight: float) -> float:
+    """Floor of a sum of ``count`` rounded outer products v v^dag with
+    sum ||v||^2 <= weight: v v^dag is positive, each complex entry rounds by at
+    most 2 eps |v_i| |v_j|, and the sum adds ``count`` roundings."""
+    return -(count + 2) * _EPS * weight
+
+
+def _spectral_norm_sq_bound(op: np.ndarray) -> float:
+    """Upper bound on ||op||_2^2 without an SVD; inf for an empty matrix.
+
+    Gershgorin bounds the top eigenvalue of the smaller gram G by the largest
+    row sum of |G|.  The computed gram is off by at most (k + 2) eps
+    |op| |op|^dag entrywise (k the inner dimension), whose row sums are at most
+    the largest row sum times the largest column sum of |op|.
+    """
+    if op.size == 0:
+        return math.inf
+    rows, cols = op.shape
+    gram = op @ op.conj().T if rows <= cols else op.conj().T @ op
+    mag = np.abs(op)
+    rounding = (max(rows, cols) + 2) * _EPS * mag.sum(axis=1).max() * mag.sum(axis=0).max()
+    return float(np.abs(gram).sum(axis=1).max()) * (1 + len(gram) * _EPS) + rounding
 
 
 @dataclass(frozen=True)
@@ -126,29 +237,15 @@ class DensityOperator:
 
     ``factors[i] = (a_i, b_i)`` are the local dimensions of copy i; the matrix
     acts on the copy-major product space of total dimension
-    ``prod(a_i) * prod(b_i)``.
+    ``dim = dim_a * dim_b`` with ``dim_a = prod(a_i)`` and ``dim_b = prod(b_i)``,
+    which are set once on construction.
     """
 
     factors: tuple[tuple[int, int], ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", _normalize_factors(self.factors))
-        object.__setattr__(self, "matrix", _frozen_matrix(self.matrix))
-        _check_cap(self.dim_a, self.dim_b)
-        _validate_operator(self.matrix, self.dim, unit_trace=True)
-
-    @property
-    def dim_a(self) -> int:
-        return math.prod(a for a, _ in self.factors)
-
-    @property
-    def dim_b(self) -> int:
-        return math.prod(b for _, b in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
+        _init_operator(self, unit_trace=True)
 
     @property
     def num_factors(self) -> int:
@@ -162,7 +259,9 @@ class DensityOperator:
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityOperator":
         v = psi.amplitudes
-        return cls(((psi.dim_a, psi.dim_b),), np.outer(v, v.conj()))
+        # ||v||^2 <= (1 + _NORM_TOL)^2 < 2
+        floor = _outer_products_floor(1, 2.0)
+        return _built(cls, ((psi.dim_a, psi.dim_b),), np.outer(v, v.conj()), floor)
 
 
 @dataclass(frozen=True)
@@ -170,36 +269,25 @@ class UnnormalizedOperator:
     """Positive operator whose trace is a weight rather than 1.
 
     Used for selective-channel branches; ``weight`` is the branch probability
-    when the input was normalized.
+    when the input was normalized.  ``dim_a``, ``dim_b`` and ``dim`` are set on
+    construction, as for ``DensityOperator``.
     """
 
     factors: tuple[tuple[int, int], ...]
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", _normalize_factors(self.factors))
-        object.__setattr__(self, "matrix", _frozen_matrix(self.matrix))
-        _check_cap(self.dim_a, self.dim_b)
-        _validate_operator(self.matrix, self.dim, unit_trace=False)
-
-    @property
-    def dim_a(self) -> int:
-        return math.prod(a for a, _ in self.factors)
-
-    @property
-    def dim_b(self) -> int:
-        return math.prod(b for _, b in self.factors)
-
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
+        _init_operator(self, unit_trace=False)
 
     @property
     def weight(self) -> float:
         return float(self.matrix.trace().real)
 
     def normalized(self) -> DensityOperator:
-        return DensityOperator(self.factors, self.matrix / self.weight)
+        w = self.weight
+        # Dividing by w scales the spectrum by 1/w and rounds each entry once.
+        floor = (min(self._floor, 0.0) - _EPS * _frobenius_bound(self, w)) / w
+        return _built(DensityOperator, self.factors, self.matrix / w, floor)
 
 
 _NORM_TOL = 1e-10
@@ -252,17 +340,29 @@ def permute_subsystems(matrix: np.ndarray, dims, perm) -> np.ndarray:
 def tensor_product(x: DensityOperator, y: DensityOperator) -> DensityOperator:
     """Join two states; the copies of x come before the copies of y.
 
-    The raw Kronecker product interleaves Alice and Bob blocks, so the result
-    is permuted back into copy-major order before wrapping.
+    The Kronecker product's entries are formed by one broadcast product laid
+    out in copy-major order, [A_x, A_y, B_x, B_y], with no separate
+    permutation.
     """
     factors = x.factors + y.factors
     dim_a = x.dim_a * y.dim_a
     dim_b = x.dim_b * y.dim_b
     _check_cap(dim_a, dim_b)
-    m = np.kron(x.matrix, y.matrix)
-    # kron layout: [A_x, B_x, A_y, B_y]  ->  [A_x, A_y, B_x, B_y]
-    m = permute_subsystems(m, [x.dim_a, x.dim_b, y.dim_a, y.dim_b], (0, 2, 1, 3))
-    return DensityOperator(factors, m)
+    mx = x.matrix.reshape(x.dim_a, 1, x.dim_b, 1, x.dim_a, 1, x.dim_b, 1)
+    my = y.matrix.reshape(1, y.dim_a, 1, y.dim_b, 1, y.dim_a, 1, y.dim_b)
+    m = (mx * my).reshape(x.dim * y.dim, x.dim * y.dim)
+    # The spectrum of sym(X) (x) sym(Y) is the products of the two spectra,
+    # and each side's largest eigenvalue is at most its trace + D |f|.
+    # sym(X (x) Y) also holds the product of the two anti-Hermitian parts, and
+    # every entry rounds once.
+    fx, fy = min(x._floor, 0.0), min(y._floor, 0.0)
+    floor = (
+        fx * (1.0 + TRACE_TOL - y.dim * fy)
+        + fy * (1.0 + TRACE_TOL - x.dim * fx)
+        - x.dim * y.dim * (HERMITICITY_TOL / 2) ** 2
+        - 2 * _EPS * _frobenius_bound(x) * _frobenius_bound(y)
+    )
+    return _built(DensityOperator, factors, m, floor)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -275,7 +375,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise DimensionMismatchError(f"keep indices {keep_set} out of range for {k} factors")
     drop = [i for i in range(k) if i not in keep_set]
     if not drop:
-        return DensityOperator(rho.factors, rho.matrix)
+        return _built(DensityOperator, rho.factors, rho.matrix, rho._floor)
 
     dims = _subsystem_dims(rho.factors)
     arr = rho.matrix.reshape(dims + dims)
@@ -286,7 +386,13 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         half -= 1
     new_factors = tuple(rho.factors[i] for i in keep_set)
     total = math.prod(a * b for a, b in new_factors)
-    return DensityOperator(new_factors, arr.reshape(total, total))
+    # Tracing out D dimensions maps sym(rho) >= f to >= D f; each entry sums
+    # D entries, so the rounding has Frobenius norm at most D eps sqrt(D) ||rho||_F.
+    dropped = rho.dim // total
+    floor = dropped * (
+        min(rho._floor, 0.0) - math.sqrt(dropped) * _EPS * _frobenius_bound(rho)
+    )
+    return _built(DensityOperator, new_factors, arr.reshape(total, total), floor)
 
 
 def partial_transpose(rho: DensityOperator) -> np.ndarray:
@@ -355,6 +461,14 @@ def format_real(x: float, sig: int = 17) -> str:
     return format(float(x), f".{sig}g")
 
 
+def _json_loads(text: str):
+    """Parse a state or channel document.  ``format_real`` writes -0.0 as
+    ``-0``, which must read back as -0.0, not as the integer 0."""
+    import json
+
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+
+
 def _matrix_to_json(m: np.ndarray) -> str:
     """Row-major ``[[[re, im], ...], ...]`` with 17 significant digits."""
     rows = []
@@ -387,9 +501,7 @@ def state_to_json(rho: DensityOperator) -> str:
 
 
 def state_from_json(text: str) -> DensityOperator:
-    import json
-
-    doc = json.loads(text)
+    doc = _json_loads(text)
     try:
         dim_a = int(doc["dim_a"])
         dim_b = int(doc["dim_b"])

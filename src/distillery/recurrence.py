@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellProbs, bell_probs_from_density, bell_state, twirl, werner
+from .bell import (
+    _MAGIC,
+    BellProbs,
+    _magic_real_part,
+    bell_probs_from_density,
+    bell_state,
+    twirl,
+    werner,
+)
 from .errors import (
     DimensionMismatchError,
     MaxStepsExceededError,
@@ -20,7 +28,14 @@ from .errors import (
     UnreachableTargetError,
 )
 from .locc import LocalFilter, apply_selective
-from .qstate import DensityOperator, fidelity_pure, tensor_product
+from .qstate import (
+    DensityOperator,
+    _built,
+    _conjugation_floor,
+    _spectral_norm_sq_bound,
+    fidelity_pure,
+    tensor_product,
+)
 
 __all__ = [
     "MIN_STEP_SUCCESS_PROB",
@@ -74,6 +89,7 @@ def step_success_prob(fidelity: float) -> float:
 _KEEP_EQUAL = np.zeros((2, 4), dtype=complex)
 _KEEP_EQUAL[0, 0] = 1.0
 _KEEP_EQUAL[1, 3] = 1.0
+_KEEP_EQUAL_FILTER = LocalFilter(_KEEP_EQUAL, _KEEP_EQUAL)
 
 
 def purify_step_exact(rho_two_pairs: DensityOperator) -> tuple[BellProbs, float]:
@@ -87,7 +103,7 @@ def purify_step_exact(rho_two_pairs: DensityOperator) -> tuple[BellProbs, float]
         raise DimensionMismatchError(
             f"need two explicit qubit-pair copies, got factors {rho_two_pairs.factors}"
         )
-    outcome = apply_selective(LocalFilter(_KEEP_EQUAL, _KEEP_EQUAL), rho_two_pairs)
+    outcome = apply_selective(_KEEP_EQUAL_FILTER, rho_two_pairs)
     twirled = twirl(outcome.normalized(), mode="exact")
     return bell_probs_from_density(twirled), outcome.probability
 
@@ -141,20 +157,22 @@ def align_to_phi_plus(rho: DensityOperator) -> tuple[DensityOperator, float]:
     which directly gives Alice's correction while Bob stays untouched.
     Returns the rotated state and its fully entangled fraction.
     """
-    from .bell import fully_entangled_fraction, magic_basis_matrix
-
     if (rho.dim_a, rho.dim_b) != (2, 2):
         raise DimensionMismatchError("alignment is defined for two-qubit states")
-    magic = magic_basis_matrix()
-    m = magic.conj().T @ rho.matrix @ magic
-    real_part = (m.real + m.real.T) / 2
-    eigenvalues, vectors = np.linalg.eigh(real_part)
+    # eigh, not the eigvalsh of fully_entangled_fraction: their top
+    # eigenvalues can differ in the last bit.
+    eigenvalues, vectors = np.linalg.eigh(_magic_real_part(rho))
     fef = float(eigenvalues[-1])
-    best = magic @ vectors[:, -1].astype(complex)
+    best = _MAGIC @ vectors[:, -1].astype(complex)
     amp = best.reshape(2, 2)
     u_a = math.sqrt(2.0) * amp.conj().T
     rotation = np.kron(u_a, np.eye(2, dtype=complex))
-    rotated = DensityOperator(rho.factors, rotation @ rho.matrix @ rotation.conj().T)
+    # u_a is unitary only up to rounding; ||u_a (x) I||_F^2 <= 2 * 2 ||u_a||^2.
+    norm_sq = _spectral_norm_sq_bound(u_a)
+    floor = _conjugation_floor(rho, norm_sq, 4 * norm_sq, 1)
+    rotated = _built(
+        DensityOperator, rho.factors, rotation @ rho.matrix @ rotation.conj().T, floor
+    )
     return rotated, fef
 
 

@@ -575,3 +575,131 @@ def test_channel_json_rejects_malformed_documents():
     del doc["kraus_ops"]
     with pytest.raises(InvalidChannelError):
         channel_from_json(json.dumps(doc))
+
+
+def test_channel_json_round_trip_keeps_signed_zeros():
+    op = np.array([[1.0, complex(-0.0, -0.0)], [complex(0.0, -0.0), complex(-0.0, 0.0)]])
+    chan = KrausChannel((op,), (2, 1), ((2, 1),))
+    text = channel_to_json(chan)
+    back = channel_from_json(text)
+    assert np.array_equal(back.kraus_ops[0].view(np.uint64), op.view(np.uint64))
+    assert channel_to_json(back) == text
+
+
+# --- certified eigenvalue floors of library-built branches -------------------
+
+
+def first_level_state(rng, dim_a, dim_b, weight, lowest):
+    """State whose Alice level 0 (in a random local basis Ua (x) Ub) carries
+    ``weight``, with a zero and the eigenvalue ``lowest`` inside that level.
+    Returns the state and the local bases."""
+    ua, ub = haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)
+    spectrum = np.zeros(dim_a * dim_b)
+    spectrum[0] = weight - lowest
+    spectrum[dim_b - 1] += lowest
+    rest = rng.uniform(0.2, 1.0, dim_a * dim_b - dim_b)
+    rest[-1] = 0.0  # rank deficient outside the branch as well
+    spectrum[dim_b:] = rest * (1.0 - weight) / rest.sum()
+    u = np.kron(ua, ub)
+    rho = DensityOperator.from_matrix((u * spectrum) @ u.conj().T, dim_a, dim_b)
+    return rho, ua, ub
+
+
+def test_selective_floors_match_dense_validation(floor_oracle):
+    rng = np.random.default_rng(42)
+    weights = (1e-11, 1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.3)
+    for dim_a, dim_b in ((2, 2), (3, 2), (3, 3)):
+        for lowest in (0.0, -1e-14, -1e-11, -3e-11, -6e-11, -9e-11):
+            for weight in weights:
+                rho, ua, ub = first_level_state(rng, dim_a, dim_b, weight, lowest)
+                # the filter keeps Alice's level 0 onto a qubit whose other level stays empty
+                a = np.zeros((2, dim_a), dtype=complex)
+                a[0] = ua[:, 0].conj()
+                filt = LocalFilter(a, ub.conj().T)
+                # a pure state with the same branch weight, for the pure route
+                phi = random_pure_state(1, dim_b, rng).amplitudes
+                chi = random_pure_state(dim_a - 1, dim_b, rng).amplitudes
+                v = math.sqrt(weight) * np.kron(ua[:, 0], ub @ phi)
+                v = v + math.sqrt(1.0 - weight) * np.kron(ua[:, 1:], ub) @ chi
+                psi = PureState(dim_a, dim_b, v)
+                for state in (rho, psi):
+                    try:
+                        apply_selective(filt, state).normalized()
+                    except InvalidStateError:
+                        pass
+            # a product sub-channel branch, a mixture of two local unitaries, and
+            # postselection mixing, on a full-rank and a near-floor state
+            rho = random_density_operator(dim_a, dim_b, rng)
+            op = np.kron(random_op(rng, 2, dim_a), random_op(rng, 1, dim_b))
+            chan = KrausChannel(
+                tuple(scaled_to([op], 0.9)), (dim_a, dim_b), ((2, 1),), product_form=True
+            )
+            apply_selective(chan, rho).normalized()
+            apply_selective(chan, random_pure_state(dim_a, dim_b, rng)).normalized()
+            near, _, _ = first_level_state(rng, dim_a, dim_b, 0.5, -4e-11)
+            tp = [np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / math.sqrt(2)]
+            tp.append(np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / math.sqrt(2))
+            unitary_mix = KrausChannel(tuple(tp), (dim_a, dim_b), ((dim_a, dim_b),), True, True)
+            apply_channel(unitary_mix, near)
+            for p, n in ((0.3, 1), (0.9, 4), (1.0, 2)):
+                postselect_compose(p, near, rho, n)
+    # carving branches on the maximally entangled state, pure and dense routes
+    for d, omega in ((4, 0.5), (6, 0.5), (9, 0.8), (16, 0.5), (16, 0.99), (24, 0.8)):
+        report = carve_pairs(d, omega)
+        apply_selective(report.channel, max_entangled(d)).normalized()
+        if d <= 9:
+            apply_selective(report.channel, max_entangled(d).density()).normalized()
+    counts = floor_oracle.check()
+    assert counts["certified"] > 200
+    assert counts["declined"] > 20
+    assert counts["rejected"] > 5
+
+
+def reference_filter_error(a, b):
+    """The norm check LocalFilter ran before it certified norms: one SVD per side."""
+    for name, op in (("a_op", a), ("b_op", b)):
+        norm = np.linalg.norm(op, 2)
+        if norm > 1.0 + COMPLETENESS_TOL:
+            return (
+                f"{name} has spectral norm {norm:.12f} > 1; "
+                "flag the filter as unnormalized if this is intended"
+            )
+    return None
+
+
+def test_filter_norm_certificate_matches_svd():
+    from distillery.qstate import _spectral_norm_sq_bound
+
+    rng = np.random.default_rng(44)
+    tol = COMPLETENESS_TOL
+    excesses = (-0.3, -tol, 0.0, 0.25 * tol, 0.45 * tol, 0.5 * tol, 0.55 * tol, 0.9 * tol,
+                tol, 1.1 * tol, 2 * tol, 1e-3)
+    certified = declined = rejected = 0
+    for rows, cols in ((2, 2), (2, 3), (3, 2), (4, 4), (1, 3), (3, 1), (2, 9)):
+        isometry = haar_unitary(max(rows, cols), rng)[:rows, :cols]
+        diagonal = np.zeros((rows, cols))
+        k = min(rows, cols)
+        diagonal[np.arange(k), np.arange(k)] = rng.uniform(0.1, 1.0, k)
+        diagonal[0, 0] = 1.0
+        for op in (isometry, diagonal, random_op(rng, rows, cols)):
+            op = op / np.linalg.norm(op, 2)
+            for excess in excesses:
+                scaled = op * (1.0 + excess)
+                bound = _spectral_norm_sq_bound(scaled)
+                assert bound >= np.linalg.norm(scaled, 2) ** 2
+                if bound <= 1.0 + tol:
+                    certified += 1
+                    assert np.linalg.norm(scaled, 2) <= 1.0 + tol / 2
+                else:
+                    declined += 1
+                other = haar_unitary(2, rng)
+                for a, b in ((scaled, other), (other, scaled), (scaled, scaled)):
+                    expected = reference_filter_error(a, b)
+                    try:
+                        LocalFilter(a, b)
+                    except InvalidFilterError as exc:
+                        rejected += 1
+                        assert str(exc) == expected
+                    else:
+                        assert expected is None
+    assert certified > 20 and declined > 20 and rejected > 20

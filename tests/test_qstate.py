@@ -32,7 +32,7 @@ from distillery.qstate import (
     trace_norm_distance,
     von_neumann_entropy,
 )
-from distillery.sampling import random_density_operator, random_pure_state
+from distillery.sampling import haar_unitary, random_density_operator, random_pure_state
 
 
 def maximally_mixed(dim_a: int, dim_b: int) -> DensityOperator:
@@ -332,3 +332,147 @@ def test_state_json_output_is_pinned():
 def test_json_rejects_malformed_cells(matrix):
     with pytest.raises(InvalidStateError):
         state_from_json(f'{{"dim_a":1,"dim_b":1,"matrix":{matrix}}}')
+
+
+def test_json_round_trip_keeps_signed_zeros():
+    # format_real writes -0.0 as "-0"; the reader must not turn it into 0
+    m = np.array(
+        [[0.5, complex(-0.0, -0.0), 0.0], [complex(-0.0, 0.0), complex(0.25, -0.0), 0.0],
+         [0.0, 0.0, complex(0.25, 0.0)]]
+    )
+    rho = DensityOperator.from_matrix(m, 1, 3)
+    text = state_to_json(rho)
+    assert "[-0,-0]" in text and "[0.25,-0]" in text
+    back = state_from_json(text)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(back.matrix)), np.signbit(part(m)))
+    assert np.array_equal(back.matrix.view(np.uint64), m.view(np.uint64))
+    assert state_to_json(back) == text
+
+
+def test_json_integer_fields_read_as_before():
+    from distillery.qstate import _json_loads
+
+    doc = _json_loads('{"dim_a": 2, "dim_b": -0, "big": 123456789012345678901234567890}')
+    assert int(doc["dim_a"]) == 2 and type(doc["dim_a"]) is int
+    assert int(doc["dim_b"]) == 0
+    assert doc["big"] == 123456789012345678901234567890
+    # a zero dimension fails the same way whether it is written 0 or -0
+    messages = []
+    for zero in ("0", "-0"):
+        with pytest.raises(InvalidStateError) as exc:
+            state_from_json(f'{{"dim_a":{zero},"dim_b":1,"matrix":[[[1,0]]]}}')
+        messages.append(str(exc.value))
+    assert messages == ["matrix is not 0 x 0"] * 2
+
+
+def test_operators_record_their_dimensions_once():
+    rho = tensor_product(maximally_mixed(2, 3), maximally_mixed(3, 1))
+    assert (rho.dim_a, rho.dim_b, rho.dim) == (6, 3, 18)
+    op = UnnormalizedOperator(((2, 2), (1, 2)), np.eye(8) / 4)
+    assert (op.dim_a, op.dim_b, op.dim) == (2, 4, 8)
+    # the cached dimensions are not dataclass fields: equality and repr are unchanged
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(rho)] == ["factors", "matrix"]
+    assert repr(rho).startswith("DensityOperator(factors=((2, 3), (3, 1)), matrix=array(")
+    assert "_floor" not in repr(rho) and "dim" not in repr(rho)
+
+
+# --- certified eigenvalue floors against the dense reference -----------------
+
+
+def spectrum_state(rng, dim_a, dim_b, spectrum, local=False):
+    """State with the given eigenvalues in a random basis, or in a random
+    product basis (Ua (x) Ub) when ``local`` is set."""
+    d = dim_a * dim_b
+    if local:
+        u = np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng))
+    else:
+        u = haar_unitary(d, rng)
+    return DensityOperator.from_matrix((u * np.asarray(spectrum)) @ u.conj().T, dim_a, dim_b)
+
+
+def near_floor_spectrum(rng, d, lowest, rank):
+    """``rank`` positive eigenvalues, zeros, and one eigenvalue ``lowest``; trace 1."""
+    spectrum = np.zeros(d)
+    spectrum[:rank] = rng.uniform(0.2, 1.0, rank)
+    spectrum[:rank] *= (1.0 - lowest) / spectrum[:rank].sum()
+    spectrum[-1] += lowest
+    return spectrum
+
+
+_LOWEST = (0.0, -1e-14, -1e-11, -3e-11, -4.9e-11, -5.1e-11, -7e-11, -9e-11)
+
+
+def test_state_floors_match_dense_validation(floor_oracle):
+    from distillery.bell import BellProbs, bell_basis_matrix, density_from_bell_probs, twirl
+    from distillery.recurrence import align_to_phi_plus
+
+    rng = np.random.default_rng(41)
+    for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
+        d = dim_a * dim_b
+        for lowest in _LOWEST:
+            rho = spectrum_state(rng, dim_a, dim_b, near_floor_spectrum(rng, d, lowest, 2))
+            sigma = spectrum_state(rng, 2, 2, near_floor_spectrum(rng, 4, lowest, 1))
+            # tensor products of near-floor states, and partial traces of them
+            joint = tensor_product(rho, sigma)
+            tensor_product(sigma, sigma)
+            tensor_product(joint, sigma)
+            for keep in ([0], [1], [0, 1]):
+                partial_trace(joint, keep)
+            # normalizing divides the floor by a weight from 1e-11 to 1
+            for weight in (1e-11, 1e-9, 1e-6, 1e-2, 0.5, 1.0):
+                UnnormalizedOperator(rho.factors, weight * rho.matrix).normalized()
+            if (dim_a, dim_b) == (2, 2):
+                twirl(rho)
+                twirl(twirl(rho), mode="sampled", seed=3)
+                align_to_phi_plus(rho)
+                align_to_phi_plus(sigma)
+                # the twirl keeps the Phi+ weight, so put the negative eigenvalue there
+                spectrum = near_floor_spectrum(rng, 4, lowest, 3)[::-1]
+                bell = bell_basis_matrix()
+                rho = DensityOperator.from_matrix((bell * spectrum) @ bell.conj().T, 2, 2)
+                twirl(twirl(rho), mode="sampled", seed=5)
+        # both negative eigenvalues inside Alice's first level: the partial
+        # trace doubles them, and past -5e-11 each the parent rejected it
+        for lowest in _LOWEST:
+            spectrum = np.zeros(d)
+            spectrum[:dim_b] = lowest
+            spectrum[dim_b:] = rng.uniform(0.2, 1.0, d - dim_b)
+            spectrum[dim_b:] *= (1.0 - dim_b * lowest) / spectrum[dim_b:].sum()
+            rho = spectrum_state(rng, dim_a, dim_b, spectrum, local=True)
+            # the same matrix as two copies, Alice's in the first, Bob's in the second
+            two_copies = DensityOperator(((dim_a, 1), (1, dim_b)), rho.matrix)
+            for keep in ([0], [1]):
+                try:
+                    partial_trace(two_copies, keep)
+                except InvalidStateError:
+                    pass
+    for p in ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (1.0 + 1e-12, -1e-12, 0.0, 0.0)):
+        density_from_bell_probs(BellProbs(p))
+    for d in (2, 3, 8, 16):
+        max_entangled(d).density()
+        random_pure_state(d, 2, rng).density()
+    counts = floor_oracle.check()
+    assert counts["certified"] > 100
+    assert counts["declined"] > 20
+    assert counts["public"] > 20
+    assert counts["rejected"] > 0
+
+
+def test_library_results_run_no_dense_spectrum(dense_spectra):
+    # a guard, not a timing test: results built inside the library carry a
+    # certified floor, so these paths must not run the dense spectrum
+    from click.testing import CliRunner
+
+    from distillery.cli import main
+    from distillery.recurrence import purify_step_exact, two_werner_pairs
+
+    purify_step_exact(two_werner_pairs(0.8))
+    assert dense_spectra[0] == 0
+    result = CliRunner().invoke(main, ["carve", "--d", "40", "--omega", "0.99", "--verify"])
+    assert result.exit_code == 0
+    assert dense_spectra[0] == 0
+    DensityOperator.from_matrix(np.eye(4) / 4, 2, 2)
+    assert dense_spectra[0] == 1
