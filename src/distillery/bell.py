@@ -18,12 +18,11 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidStateError, ZeroProbabilityError
 from .locc import SelectiveOutcome, apply_selective, LocalFilter
 from .qstate import (
-    _EPS,
     DensityOperator,
     PureState,
-    _built,
-    _conjugation_floor,
+    _kraus_image,
     _spectral_norm_sq_bound,
+    _weighted_outer_image,
     partial_transpose,
     sym,
 )
@@ -198,10 +197,11 @@ def twirl_unitaries() -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-_TWIRL_PAIRS = tuple((v, v.conj().T) for v in twirl_unitaries())
+_TWIRL_UNITARIES = twirl_unitaries()
+_TWIRL_ADJOINTS = tuple(v.conj().T for v in _TWIRL_UNITARIES)
 # The twirl unitaries and the Bell basis are unitary only up to rounding;
 # these bound their squared spectral norms.
-_TWIRL_NORM_SQ = max(_spectral_norm_sq_bound(v) for v, _ in _TWIRL_PAIRS)
+_TWIRL_NORM_SQ = max(_spectral_norm_sq_bound(v) for v in _TWIRL_UNITARIES)
 _BELL_NORM_SQ = _spectral_norm_sq_bound(_BELL_COLUMNS)
 
 
@@ -217,17 +217,20 @@ def twirl(
     """
     _require_two_qubit(rho, "twirl")
     if mode == "exact":
-        acc = np.zeros((4, 4), dtype=complex)
-        for v, v_adjoint in _TWIRL_PAIRS:
-            acc += v @ rho.matrix @ v_adjoint
         # The average of twelve conjugations: Kraus operators v / sqrt(12).
-        floor = _conjugation_floor(rho, _TWIRL_NORM_SQ, 4 * _TWIRL_NORM_SQ, 12)
-        return _built(DensityOperator, rho.factors, acc / 12.0, floor)
+        image = _kraus_image(
+            rho,
+            _TWIRL_UNITARIES,
+            norm_sq=_TWIRL_NORM_SQ,
+            frobenius_sq=4 * _TWIRL_NORM_SQ,
+            divisor=12.0,
+            adjoints=_TWIRL_ADJOINTS,
+        )
+        return image.build(DensityOperator, rho.factors)
     if mode == "sampled":
         rng = np.random.default_rng(0 if seed is None else seed)
-        v, v_adjoint = _TWIRL_PAIRS[int(rng.integers(0, 12))]
-        floor = _conjugation_floor(rho, _TWIRL_NORM_SQ, 4 * _TWIRL_NORM_SQ, 1)
-        return _built(DensityOperator, rho.factors, v @ rho.matrix @ v_adjoint, floor)
+        v = _TWIRL_UNITARIES[int(rng.integers(0, 12))]
+        return DensityOperator(rho.factors, v @ rho.matrix @ v.conj().T)
     raise InvalidStateError(f"twirl mode must be 'exact' or 'sampled', got {mode!r}")
 
 
@@ -252,13 +255,8 @@ def bell_probs_from_density(rho: DensityOperator, project: bool = False) -> Bell
 
 
 def density_from_bell_probs(bp: BellProbs) -> DensityOperator:
-    p = np.asarray(bp.p)
-    m = (_BELL_COLUMNS * p) @ _BELL_COLUMNS.conj().T
-    # B diag(p) B^dag >= min(p, 0) ||B||^2; scaling the columns rounds once and
-    # the product's length-4 complex dot products at most 6 more times.
-    scale = 4 * _BELL_NORM_SQ * float(np.abs(p).max())
-    floor = min(float(p.min()), 0.0) * _BELL_NORM_SQ - 8 * _EPS * scale
-    return _built(DensityOperator, ((2, 2),), m, floor)
+    image = _weighted_outer_image(_BELL_COLUMNS, np.asarray(bp.p), _BELL_NORM_SQ)
+    return image.build(DensityOperator, ((2, 2),))
 
 
 def fully_entangled_fraction(rho: DensityOperator) -> float:

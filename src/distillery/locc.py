@@ -25,17 +25,14 @@ from .errors import (
 )
 from .qstate import (
     _CERTIFICATE_SLACK,
-    _EPS,
     DensityOperator,
     PureState,
     UnnormalizedOperator,
-    _built,
-    _conjugation_floor,
-    _frobenius_bound,
     _json_loads,
+    _kraus_image,
     _matrix_from_json,
     _matrix_to_json,
-    _outer_products_floor,
+    _outer_image,
     _spectral_norm_sq_bound,
     max_side_dim,
 )
@@ -300,10 +297,8 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
         raise DimensionMismatchError(
             f"channel input {channel.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
         )
-    count = len(channel.kraus_ops)
     out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
-    floor = _conjugation_floor(rho, count * _KRAUS_NORM_SQ, rho.dim * _KRAUS_NORM_SQ, count)
-    return _built(DensityOperator, channel.out_factors, out, floor)
+    return DensityOperator(channel.out_factors, out)
 
 
 def apply_selective(
@@ -329,11 +324,11 @@ def apply_selective(
             )
         m = _kron(op.a_op, op.b_op)
         if pure:
-            v = m @ rho.amplitudes
-            out = np.outer(v, v.conj())
+            image = _outer_image(m @ rho.amplitudes)
         else:
-            out = m @ rho.matrix @ m.conj().T
-        count, norm_sq = 1, _FILTER_NORM_SQ
+            image = _kraus_image(
+                rho, m, norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
+            )
         out_factors = (op.out_dims,)
     elif isinstance(op, KrausChannel):
         if op.in_dims != (rho.dim_a, rho.dim_b):
@@ -341,26 +336,25 @@ def apply_selective(
                 f"channel input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
             )
         if pure:
-            images = (k @ rho.amplitudes for k in op.kraus_ops)
-            out = sum(np.outer(v, v.conj()) for v in images)
+            image = _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
         else:
-            out = sum(k @ rho.matrix @ k.conj().T for k in op.kraus_ops)
-        count, norm_sq = len(op.kraus_ops), _KRAUS_NORM_SQ
+            count = len(op.kraus_ops)
+            image = _kraus_image(
+                rho,
+                op.kraus_ops,
+                norm_sq=count * _KRAUS_NORM_SQ,
+                frobenius_sq=rho.dim * _KRAUS_NORM_SQ,
+            )
         out_factors = op.out_factors
     else:
         raise TypeError(f"expected LocalFilter or KrausChannel, got {type(op)!r}")
 
-    probability = float(np.trace(out).real)
+    probability = float(np.trace(image.matrix).real)
     if probability <= ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityError(
             f"selective branch has probability {probability:.3e} <= {ZERO_PROBABILITY_TOL}"
         )
-    if pure:
-        # The trace is sum_k ||K_k psi||^2 up to rounding, so twice it bounds that sum.
-        floor = _outer_products_floor(count, 2 * probability)
-    else:
-        floor = _conjugation_floor(rho, count * norm_sq, rho.dim * norm_sq, count)
-    branch = _built(UnnormalizedOperator, out_factors, out, floor)
+    branch = image.build(UnnormalizedOperator, out_factors)
     return SelectiveOutcome(branch, probability)
 
 
@@ -384,12 +378,8 @@ def postselect_compose(
             f"vs ({tau.dim_a},{tau.dim_b})"
         )
     fail = (1.0 - p) ** n
-    keep = 1.0 - fail
-    mixed = keep * rho_prime.matrix + fail * tau.matrix
-    # A convex mixture mixes the floors; each entry rounds three times.
-    floor = keep * min(rho_prime._floor, 0.0) + fail * min(tau._floor, 0.0)
-    floor -= 2 * _EPS * (keep * _frobenius_bound(rho_prime) + fail * _frobenius_bound(tau))
-    return _built(DensityOperator, rho_prime.factors, mixed, floor)
+    mixed = (1.0 - fail) * rho_prime.matrix + fail * tau.matrix
+    return DensityOperator(rho_prime.factors, mixed)
 
 
 def support_projector(f: LocalFilter) -> tuple[np.ndarray, np.ndarray]:

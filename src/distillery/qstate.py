@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,7 +156,7 @@ def _init_operator(op, *, unit_trace: bool) -> None:
 
     Normalizes and freezes the fields, records ``dim_a``, ``dim_b`` and
     ``dim`` once, validates, and keeps the eigenvalue floor in ``_floor``.
-    Only ``_built`` sets ``_floor`` before this runs.
+    Only ``_Image.build`` sets ``_floor`` before this runs.
     """
     factors = _normalize_factors(op.factors)
     object.__setattr__(op, "factors", factors)
@@ -170,17 +171,21 @@ def _init_operator(op, *, unit_trace: bool) -> None:
     op.__dict__["_floor"] = floor
 
 
-def _built(cls, factors, matrix: np.ndarray, floor: float):
-    """An operator the library computed, with a floor proved for it.
+class _Image(NamedTuple):
+    """A matrix the library computed, with a floor proved for the smallest
+    eigenvalue of its Hermitian part, rounding included."""
 
-    Runs the class's own ``__post_init__``, so every check except the dense
-    spectrum still runs, and that one runs too when the floor is not
-    certified.
-    """
-    op = cls.__new__(cls)
-    op.__dict__.update(factors=factors, matrix=matrix, _floor=floor)
-    op.__post_init__()
-    return op
+    matrix: np.ndarray
+    floor: float
+
+    def build(self, cls, factors):
+        """The operator of type ``cls``.  Runs the class's own
+        ``__post_init__``, so every check except the dense spectrum still runs,
+        and that one runs too when the floor is not certified."""
+        op = cls.__new__(cls)
+        op.__dict__.update(factors=factors, matrix=self.matrix, _floor=self.floor)
+        op.__post_init__()
+        return op
 
 
 def _frobenius_bound(op, trace: float = 1.0 + TRACE_TOL) -> float:
@@ -193,25 +198,66 @@ def _frobenius_bound(op, trace: float = 1.0 + TRACE_TOL) -> float:
     return trace + op.dim * (2.0 * max(-op._floor, 0.0) + HERMITICITY_TOL / 2)
 
 
-def _conjugation_floor(rho, spectral_sq: float, frobenius_sq: float, terms: int) -> float:
-    """Floor of sum_k K_k rho K_k^dag, summed from ``terms`` rounded triple products.
+def _kraus_image(
+    rho,
+    ops,
+    *,
+    norm_sq: float,
+    frobenius_sq: float,
+    divisor: float | None = None,
+    adjoints=None,
+) -> _Image:
+    """sum_k K_k rho K_k^dag, divided by ``divisor`` if one is given.
 
-    ``spectral_sq`` bounds sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds
-    sum_k ||K_k||_F^2.  If sym(rho) >= f then the exact sum is at least
-    min(f, 0) * spectral_sq.  Each product rounds by at most
+    ``ops`` is one matrix K, whose single product is not summed, or a sequence
+    summed in order from 0; ``adjoints`` may hold the K_k^dag of a constant
+    sequence, computed once as ``K.conj().T``.  ``norm_sq`` bounds
+    sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds sum_k ||K_k||_F^2, both
+    after the division.  If sym(rho) >= f then the exact result is at least
+    min(f, 0) * norm_sq.  Each product rounds by at most
     2 (n + 2) eps |K_k| |rho| |K_k^dag| entrywise (complex dot products of
-    length n), and the sum and one final scaling add ``terms`` + 1 roundings.
+    length n), and the sum and the division add len(ops) + 1 roundings.
     """
+    m = rho.matrix
+    if isinstance(ops, np.ndarray):
+        out, terms = ops @ m @ ops.conj().T, 1
+    else:
+        if adjoints is None:
+            adjoints = [k.conj().T for k in ops]
+        out, terms = sum(k @ m @ k_adj for k, k_adj in zip(ops, adjoints)), len(ops)
+    if divisor is not None:
+        out = out / divisor
     steps = 2 * (rho.dim + 2) + terms + 1
     rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho)
-    return min(rho._floor, 0.0) * spectral_sq - rounding
+    return _Image(out, min(rho._floor, 0.0) * norm_sq - rounding)
 
 
-def _outer_products_floor(count: int, weight: float) -> float:
-    """Floor of a sum of ``count`` rounded outer products v v^dag with
-    sum ||v||^2 <= weight: v v^dag is positive, each complex entry rounds by at
-    most 2 eps |v_i| |v_j|, and the sum adds ``count`` roundings."""
-    return -(count + 2) * _EPS * weight
+def _outer_image(vectors) -> _Image:
+    """sum_k v_k v_k^dag for one vector (not summed) or a sequence summed in
+    order from 0.  Each v v^dag is positive and each of its complex entries
+    rounds by at most 2 eps |v_i| |v_j|; the sum adds one rounding a term.
+    Twice the computed trace bounds sum_k ||v_k||^2."""
+    if isinstance(vectors, np.ndarray):
+        out, count = np.outer(vectors, vectors.conj()), 1
+    else:
+        out, count = sum(np.outer(v, v.conj()) for v in vectors), len(vectors)
+    weight = 2 * float(np.trace(out).real)
+    return _Image(out, -(count + 2) * _EPS * weight)
+
+
+def _weighted_outer_image(columns: np.ndarray, weights: np.ndarray, norm_sq: float) -> _Image:
+    """sum_i w_i c_i c_i^dag over the columns c_i of C, formed as (C w) C^dag.
+
+    ``norm_sq`` bounds ||C||_2^2, so the exact result is at least
+    min(w, 0) * norm_sq.  Scaling the columns rounds once and each length-n
+    complex dot product by at most 2 (n + 2) eps, against the Frobenius norm
+    of |C| |w| |C|^dag, which is at most max|w| * min(C.shape) * norm_sq.
+    """
+    out = (columns * weights) @ columns.conj().T
+    n = len(weights)
+    scale = float(np.abs(weights).max()) * min(columns.shape) * norm_sq
+    floor = min(float(weights.min()), 0.0) * norm_sq - (2 * (n + 2) + 1) * _EPS * scale
+    return _Image(out, floor)
 
 
 def _spectral_norm_sq_bound(op: np.ndarray) -> float:
@@ -258,10 +304,7 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityOperator":
-        v = psi.amplitudes
-        # ||v||^2 <= (1 + _NORM_TOL)^2 < 2
-        floor = _outer_products_floor(1, 2.0)
-        return _built(cls, ((psi.dim_a, psi.dim_b),), np.outer(v, v.conj()), floor)
+        return _outer_image(psi.amplitudes).build(cls, ((psi.dim_a, psi.dim_b),))
 
 
 @dataclass(frozen=True)
@@ -287,7 +330,7 @@ class UnnormalizedOperator:
         w = self.weight
         # Dividing by w scales the spectrum by 1/w and rounds each entry once.
         floor = (min(self._floor, 0.0) - _EPS * _frobenius_bound(self, w)) / w
-        return _built(DensityOperator, self.factors, self.matrix / w, floor)
+        return _Image(self.matrix / w, floor).build(DensityOperator, self.factors)
 
 
 _NORM_TOL = 1e-10
@@ -362,7 +405,7 @@ def tensor_product(x: DensityOperator, y: DensityOperator) -> DensityOperator:
         - x.dim * y.dim * (HERMITICITY_TOL / 2) ** 2
         - 2 * _EPS * _frobenius_bound(x) * _frobenius_bound(y)
     )
-    return _built(DensityOperator, factors, m, floor)
+    return _Image(m, floor).build(DensityOperator, factors)
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
@@ -375,7 +418,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         raise DimensionMismatchError(f"keep indices {keep_set} out of range for {k} factors")
     drop = [i for i in range(k) if i not in keep_set]
     if not drop:
-        return _built(DensityOperator, rho.factors, rho.matrix, rho._floor)
+        return DensityOperator(rho.factors, rho.matrix)
 
     dims = _subsystem_dims(rho.factors)
     arr = rho.matrix.reshape(dims + dims)
@@ -386,13 +429,7 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
         half -= 1
     new_factors = tuple(rho.factors[i] for i in keep_set)
     total = math.prod(a * b for a, b in new_factors)
-    # Tracing out D dimensions maps sym(rho) >= f to >= D f; each entry sums
-    # D entries, so the rounding has Frobenius norm at most D eps sqrt(D) ||rho||_F.
-    dropped = rho.dim // total
-    floor = dropped * (
-        min(rho._floor, 0.0) - math.sqrt(dropped) * _EPS * _frobenius_bound(rho)
-    )
-    return _built(DensityOperator, new_factors, arr.reshape(total, total), floor)
+    return DensityOperator(new_factors, arr.reshape(total, total))
 
 
 def partial_transpose(rho: DensityOperator) -> np.ndarray:

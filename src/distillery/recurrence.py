@@ -30,8 +30,7 @@ from .errors import (
 from .locc import LocalFilter, apply_selective
 from .qstate import (
     DensityOperator,
-    _built,
-    _conjugation_floor,
+    _kraus_image,
     _spectral_norm_sq_bound,
     fidelity_pure,
     tensor_product,
@@ -169,10 +168,8 @@ def align_to_phi_plus(rho: DensityOperator) -> tuple[DensityOperator, float]:
     rotation = np.kron(u_a, np.eye(2, dtype=complex))
     # u_a is unitary only up to rounding; ||u_a (x) I||_F^2 <= 2 * 2 ||u_a||^2.
     norm_sq = _spectral_norm_sq_bound(u_a)
-    floor = _conjugation_floor(rho, norm_sq, 4 * norm_sq, 1)
-    rotated = _built(
-        DensityOperator, rho.factors, rotation @ rho.matrix @ rotation.conj().T, floor
-    )
+    image = _kraus_image(rho, rotation, norm_sq=norm_sq, frobenius_sq=4 * norm_sq)
+    rotated = image.build(DensityOperator, rho.factors)
     return rotated, fef
 
 

@@ -43,13 +43,13 @@ class FloorOracle:
 
     def __init__(self):
         self.calls = []
-        self._dense = 0
+        self.dense = 0  # eigvalsh calls made from _validate_operator
 
     def validate(self, original):
         def spy(matrix, dim, *, unit_trace, floor=None):
             call = {"matrix": matrix, "dim": dim, "unit_trace": unit_trace, "floor": floor}
             self.calls.append(call)
-            before = self._dense
+            before = self.dense
             try:
                 call["result"] = original(matrix, dim, unit_trace=unit_trace, floor=floor)
                 return call["result"]
@@ -57,14 +57,14 @@ class FloorOracle:
                 call["error"] = str(exc)
                 raise
             finally:
-                call["dense"] = self._dense > before
+                call["dense"] = self.dense > before
 
         return spy
 
     def eigvalsh(self, original):
         def counted(*args, **kwargs):
             if sys._getframe(1).f_code is _VALIDATE_CODE:
-                self._dense += 1
+                self.dense += 1
             return original(*args, **kwargs)
 
         return counted
@@ -114,14 +114,8 @@ def floor_oracle(monkeypatch):
 
 @pytest.fixture
 def dense_spectra(monkeypatch):
-    """Counts the ``eigvalsh`` calls made from ``qstate._validate_operator``."""
-    count = [0]
-    original = np.linalg.eigvalsh
-
-    def counted(*args, **kwargs):
-        if sys._getframe(1).f_code is _VALIDATE_CODE:
-            count[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return count
+    """Counts the ``eigvalsh`` calls made from ``qstate._validate_operator``
+    in the oracle's ``dense``, without recording the calls themselves."""
+    oracle = FloorOracle()
+    monkeypatch.setattr(np.linalg, "eigvalsh", oracle.eigvalsh(np.linalg.eigvalsh))
+    return oracle

@@ -627,8 +627,8 @@ def test_selective_floors_match_dense_validation(floor_oracle):
                         apply_selective(filt, state).normalized()
                     except InvalidStateError:
                         pass
-            # a product sub-channel branch, a mixture of two local unitaries, and
-            # postselection mixing, on a full-rank and a near-floor state
+            # a product sub-channel branch, and a mixture of two local unitaries
+            # on a near-floor state
             rho = random_density_operator(dim_a, dim_b, rng)
             op = np.kron(random_op(rng, 2, dim_a), random_op(rng, 1, dim_b))
             chan = KrausChannel(
@@ -640,9 +640,13 @@ def test_selective_floors_match_dense_validation(floor_oracle):
             tp = [np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / math.sqrt(2)]
             tp.append(np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / math.sqrt(2))
             unitary_mix = KrausChannel(tuple(tp), (dim_a, dim_b), ((dim_a, dim_b),), True, True)
-            apply_channel(unitary_mix, near)
-            for p, n in ((0.3, 1), (0.9, 4), (1.0, 2)):
-                postselect_compose(p, near, rho, n)
+            apply_selective(unitary_mix, near).normalized()
+            # one local unitary twice, up to a phase: the branch keeps the
+            # input's negative eigenvalue, so its floor must carry the input's
+            deep, _, _ = first_level_state(rng, dim_a, dim_b, 0.5, -7e-11)
+            u = np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / math.sqrt(2)
+            twice = KrausChannel((u, 1j * u), (dim_a, dim_b), ((dim_a, dim_b),), True, True)
+            apply_selective(twice, deep).normalized()
     # carving branches on the maximally entangled state, pure and dense routes
     for d, omega in ((4, 0.5), (6, 0.5), (9, 0.8), (16, 0.5), (16, 0.99), (24, 0.8)):
         report = carve_pairs(d, omega)
