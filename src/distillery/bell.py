@@ -16,17 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError, ZeroProbabilityError
-from .locc import SelectiveOutcome, apply_selective, LocalFilter
+from .locc import (
+    COMPLETENESS_TOL,
+    ZERO_PROBABILITY_TOL,
+    LocalFilter,
+    SelectiveOutcome,
+    _filter_branches,
+    apply_selective,
+)
 from .qstate import (
     DensityOperator,
     PureState,
+    _certified,
     _kraus_image,
+    _partial_transpose,
+    _quotient_image,
     _spectral_norm_sq_bound,
     _weighted_outer_image,
     partial_transpose,
     sym,
 )
-from .sampling import haar_unitary
+from .sampling import _haar_from_ginibre
 
 __all__ = [
     "BELL_LABELS",
@@ -197,11 +207,14 @@ def twirl_unitaries() -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-_TWIRL_UNITARIES = twirl_unitaries()
-_TWIRL_ADJOINTS = tuple(v.conj().T for v in _TWIRL_UNITARIES)
+# The twelve unitaries and their adjoints as frozen (12, 4, 4) stacks.
+_TWIRL_UNITARIES = np.stack(twirl_unitaries())
+_TWIRL_ADJOINTS = _TWIRL_UNITARIES.conj().swapaxes(-1, -2)
+_TWIRL_UNITARIES.setflags(write=False)
+_TWIRL_ADJOINTS.setflags(write=False)
 # The twirl unitaries and the Bell basis are unitary only up to rounding;
 # these bound their squared spectral norms.
-_TWIRL_NORM_SQ = max(_spectral_norm_sq_bound(v) for v in _TWIRL_UNITARIES)
+_TWIRL_NORM_SQ = float(_spectral_norm_sq_bound(_TWIRL_UNITARIES).max())
 _BELL_NORM_SQ = _spectral_norm_sq_bound(_BELL_COLUMNS)
 
 
@@ -319,6 +332,121 @@ def project_to_qubits(
     return outcome, diagnostics
 
 
+def _range_isometries(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_range_isometry`` on a stack of projectors: the isometries onto their
+    ranges, and which projectors pass its Hermiticity, idempotence and
+    rank-2 checks.  Eigenvalues come in ascending order, so a rank-2 range is
+    spanned by the last two eigenvectors."""
+    dim = projectors.shape[-1]
+    hermitian = np.abs(projectors - projectors.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    idempotent = np.abs(projectors @ projectors - projectors).max(axis=(-2, -1))
+    eigenvalues, vectors = np.linalg.eigh(sym(projectors))
+    rank_two = ((eigenvalues > 0.5) == (np.arange(dim) >= dim - 2)).all(axis=-1)
+    passed = (hermitian <= _PROJECTOR_TOL) & (idempotent <= _PROJECTOR_TOL) & rank_two
+    return vectors[..., -2:], passed
+
+
+def _project_stack(rho: DensityOperator, pi_a: np.ndarray, pi_b: np.ndarray):
+    """``project_to_qubits`` over stacks of projector pairs, in stacked calls.
+
+    Returns, per pair, the PPT minimum of the compressed state, the outcome
+    probability, whether that probability is kept (above
+    ``ZERO_PROBABILITY_TOL`` and at most 1 + ``COMPLETENESS_TOL``; the others
+    are the pairs ``project_to_qubits`` ends with a ``ZeroProbabilityError``),
+    and whether every check of the per-pair path passed on a certificate.
+    The values of a pair that is not certified mean nothing: it must go
+    through ``project_to_qubits``.
+    """
+    va, range_a = _range_isometries(pi_a)
+    vb, range_b = _range_isometries(pi_b)
+    branch, filter_ok = _filter_branches(
+        va.conj().swapaxes(-1, -2), vb.conj().swapaxes(-1, -2), rho
+    )
+    # The probability is the branch trace itself, so SelectiveOutcome's
+    # consistency check between the two holds by construction.
+    probability = np.trace(branch.matrix, axis1=-2, axis2=-1).real
+    nonzero = probability > ZERO_PROBABILITY_TOL
+    kept = nonzero & (probability <= 1.0 + COMPLETENESS_TOL)
+    state = _quotient_image(branch.matrix, branch.floor, np.where(kept, probability, 1.0))
+    certified = (
+        range_a
+        & range_b
+        & filter_ok
+        & (~nonzero | _certified(branch, (2, 2), unit_trace=False))
+        & (~kept | _certified(state, (2, 2), unit_trace=True))
+    )
+    pt = _partial_transpose(state.matrix, ((2, 2),))
+    ppt = np.linalg.eigvalsh(sym(pt)).min(axis=-1)
+    return ppt, probability, kept, certified
+
+
+# Trials run as stacked calls over chunks of at most this many, so memory is
+# bounded by the chunk whatever the trial count.
+_SEARCH_CHUNK = 32
+
+
+def _top_two_projectors(ginibre: np.ndarray) -> np.ndarray:
+    """Projectors onto the first two columns of the Haar unitaries of a stack
+    of Ginibre matrices."""
+    u = _haar_from_ginibre(ginibre)[..., :2]
+    return u @ u.conj().swapaxes(-1, -2)
+
+
+def _haar_projector_chunks(dim_a: int, dim_b: int, trials: int, seed: int):
+    """Yield (first trial, pi_a stack, pi_b stack) for each chunk of trials.
+
+    Trial t draws from its own ``default_rng([seed, t])`` in the order of two
+    ``haar_unitary`` calls: Alice's real and imaginary Ginibre parts, then
+    Bob's.
+    """
+    size_a, size_b = dim_a * dim_a, dim_b * dim_b
+    for start in range(0, trials, _SEARCH_CHUNK):
+        draws = np.empty((min(_SEARCH_CHUNK, trials - start), 2 * (size_a + size_b)))
+        for k, row in enumerate(draws):
+            np.random.default_rng([seed, start + k]).standard_normal(out=row)
+        re_a, im_a, re_b, im_b = np.split(
+            draws, np.cumsum([size_a, size_a, size_b]), axis=1
+        )
+        g_a = re_a.reshape(-1, dim_a, dim_a) + 1j * im_a.reshape(-1, dim_a, dim_a)
+        g_b = re_b.reshape(-1, dim_b, dim_b) + 1j * im_b.reshape(-1, dim_b, dim_b)
+        yield start, _top_two_projectors(g_a), _top_two_projectors(g_b)
+
+
+def _search_projections(rho: DensityOperator, chunks) -> ProjectionWitness:
+    """The witness with the smallest PPT minimum, the first in trial order
+    among equals, over chunks of (first trial, pi_a stack, pi_b stack).
+
+    A pair that a certificate declines goes through ``project_to_qubits``, in
+    trial order, which decides and words every error; pairs whose projection
+    weight vanishes are skipped.
+    """
+    best: ProjectionWitness | None = None
+    for start, pi_a, pi_b in chunks:
+        ppt, probability, kept, certified = _project_stack(rho, pi_a, pi_b)
+        for k in range(len(pi_a)):
+            if certified[k]:
+                if not kept[k]:
+                    continue
+                value, prob = float(ppt[k]), float(probability[k])
+            else:
+                try:
+                    outcome, diag = project_to_qubits(rho, pi_a[k], pi_b[k])
+                except ZeroProbabilityError:
+                    continue
+                value, prob = diag.ppt_min_eigenvalue, outcome.probability
+            if best is None or value < best.ppt_min_eigenvalue:
+                best = ProjectionWitness(
+                    pi_a=pi_a[k].copy(),
+                    pi_b=pi_b[k].copy(),
+                    ppt_min_eigenvalue=value,
+                    trial_index=start + k,
+                    success_prob=prob,
+                )
+    if best is None:
+        raise ZeroProbabilityError("every trial projected onto a null subspace")
+    return best
+
+
 def search_projection_witness(
     rho: DensityOperator, trials: int, seed: int = 0
 ) -> ProjectionWitness:
@@ -328,32 +456,15 @@ def search_projection_witness(
     so results do not depend on how trials are partitioned across workers),
     projects onto the span of their first two columns, and keeps the
     projection minimizing the PPT minimum eigenvalue of the compressed state.
-    Trials whose projection weight vanishes are skipped.
+    Trials whose projection weight vanishes are skipped.  The trials run as
+    stacked numpy calls over chunks of at most ``_SEARCH_CHUNK`` trials and
+    give the witness the one-trial-at-a-time ``project_to_qubits`` loop gives,
+    bit for bit.
     """
     trials = int(trials)
     if trials < 1:
         raise DimensionMismatchError(f"need at least one trial, got {trials}")
     if rho.dim_a < 2 or rho.dim_b < 2:
         raise DimensionMismatchError("both sides need dimension >= 2")
-    best: ProjectionWitness | None = None
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        ua = haar_unitary(rho.dim_a, rng)[:, :2]
-        ub = haar_unitary(rho.dim_b, rng)[:, :2]
-        pi_a = ua @ ua.conj().T
-        pi_b = ub @ ub.conj().T
-        try:
-            outcome, diag = project_to_qubits(rho, pi_a, pi_b)
-        except ZeroProbabilityError:
-            continue
-        if best is None or diag.ppt_min_eigenvalue < best.ppt_min_eigenvalue:
-            best = ProjectionWitness(
-                pi_a=pi_a,
-                pi_b=pi_b,
-                ppt_min_eigenvalue=diag.ppt_min_eigenvalue,
-                trial_index=trial,
-                success_prob=outcome.probability,
-            )
-    if best is None:
-        raise ZeroProbabilityError("every trial projected onto a null subspace")
-    return best
+    chunks = _haar_projector_chunks(rho.dim_a, rho.dim_b, trials, seed)
+    return _search_projections(rho, chunks)

@@ -32,6 +32,8 @@ from .qstate import (
     _kraus_image,
     _matrix_from_json,
     _matrix_to_json,
+    _Image,
+    _kraus_images,
     _outer_image,
     _spectral_norm_sq_bound,
     max_side_dim,
@@ -89,9 +91,11 @@ _KRAUS_NORM_SQ = 1.0 + 2 * COMPLETENESS_TOL
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices as one broadcast product, bit for bit."""
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+    """``np.kron`` of two matrices as one broadcast product, bit for bit; of
+    two stacks of matrices, the Kronecker product of each pair."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (ra * rb, ca * cb))
 
 
 def _product_certificate(op, in_dims, out_dims):
@@ -260,6 +264,26 @@ class LocalFilter:
     @property
     def out_dims(self) -> tuple[int, int]:
         return (self.a_op.shape[0], self.b_op.shape[0])
+
+
+def _filter_branches(
+    a_ops: np.ndarray, b_ops: np.ndarray, rho: DensityOperator
+) -> tuple[_Image, np.ndarray]:
+    """The branches of ``apply_selective`` for a stack of filters A_k (x) B_k on
+    one state, in one stacked call, with their shared floor.
+
+    Also returns, per filter, whether ``LocalFilter``'s norm certificate
+    passes on both sides; a filter that fails it must be built as a
+    ``LocalFilter``, whose SVD decides and words the outcome.  The branch
+    probabilities and the outcome checks are the caller's.
+    """
+    certified = (_spectral_norm_sq_bound(a_ops) <= 1.0 + COMPLETENESS_TOL) & (
+        _spectral_norm_sq_bound(b_ops) <= 1.0 + COMPLETENESS_TOL
+    )
+    branches = _kraus_images(
+        rho, _kron(a_ops, b_ops), norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
+    )
+    return branches, certified
 
 
 @dataclass(frozen=True)

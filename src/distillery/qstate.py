@@ -113,8 +113,9 @@ def _frozen_matrix(matrix) -> np.ndarray:
 
 
 def sym(matrix: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M†)/2, used before every eigendecomposition."""
-    return (matrix + matrix.conj().T) / 2
+    """Hermitian part (M + M†)/2 of a matrix or of each matrix in a stack,
+    used before every eigendecomposition."""
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
 def _validate_operator(
@@ -188,14 +189,29 @@ class _Image(NamedTuple):
         return op
 
 
-def _frobenius_bound(op, trace: float = 1.0 + TRACE_TOL) -> float:
-    """Upper bound on ||op.matrix||_F for a validated operator of real trace <= trace.
+def _frobenius_bound(dim: int, floor: float, trace=1.0 + TRACE_TOL):
+    """Upper bound on ||M||_F for a validated operator M of ``dim`` rows, eigenvalue
+    floor ``floor`` and real trace at most ``trace`` (a float or an array).
 
     The Hermitian part's Frobenius norm is at most the sum of its absolute
     eigenvalues, trace + 2 * (the negative ones), and each entry of the
     anti-Hermitian part is at most HERMITICITY_TOL / 2.
     """
-    return trace + op.dim * (2.0 * max(-op._floor, 0.0) + HERMITICITY_TOL / 2)
+    return trace + dim * (2.0 * max(-floor, 0.0) + HERMITICITY_TOL / 2)
+
+
+def _kraus_floor(rho, *, norm_sq: float, frobenius_sq: float, terms: int) -> float:
+    """Floor of sum_k K_k rho K_k^dag over ``terms`` products, optionally divided.
+
+    ``norm_sq`` bounds sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds
+    sum_k ||K_k||_F^2, both after any division.  If sym(rho) >= f then the
+    exact result is at least min(f, 0) * norm_sq.  Each product rounds by at
+    most 2 (n + 2) eps |K_k| |rho| |K_k^dag| entrywise (complex dot products
+    of length n), and the sum and the division add terms + 1 roundings.
+    """
+    steps = 2 * (rho.dim + 2) + terms + 1
+    rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho.dim, rho._floor)
+    return min(rho._floor, 0.0) * norm_sq - rounding
 
 
 def _kraus_image(
@@ -209,27 +225,58 @@ def _kraus_image(
 ) -> _Image:
     """sum_k K_k rho K_k^dag, divided by ``divisor`` if one is given.
 
-    ``ops`` is one matrix K, whose single product is not summed, or a sequence
-    summed in order from 0; ``adjoints`` may hold the K_k^dag of a constant
-    sequence, computed once as ``K.conj().T``.  ``norm_sq`` bounds
-    sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds sum_k ||K_k||_F^2, both
-    after the division.  If sym(rho) >= f then the exact result is at least
-    min(f, 0) * norm_sq.  Each product rounds by at most
-    2 (n + 2) eps |K_k| |rho| |K_k^dag| entrywise (complex dot products of
-    length n), and the sum and the division add len(ops) + 1 roundings.
+    ``ops`` is one matrix K, whose single product is not summed, or a stack
+    (or sequence) of them.  A stack's products are formed in one stacked
+    call and reduced over the stack axis from 0.0, in order: the same
+    additions as Python's ``sum``, signed zeros included.  ``adjoints`` may
+    hold the stacked K_k^dag of a constant stack, computed once as
+    ``K.conj().swapaxes(-1, -2)``.  The floor is ``_kraus_floor``'s.
     """
     m = rho.matrix
-    if isinstance(ops, np.ndarray):
+    ops = np.asarray(ops)
+    if ops.ndim == 2:
         out, terms = ops @ m @ ops.conj().T, 1
     else:
         if adjoints is None:
-            adjoints = [k.conj().T for k in ops]
-        out, terms = sum(k @ m @ k_adj for k, k_adj in zip(ops, adjoints)), len(ops)
+            adjoints = ops.conj().swapaxes(-1, -2)
+        out, terms = np.add.reduce(ops @ m @ adjoints, axis=0, initial=0.0), len(ops)
     if divisor is not None:
         out = out / divisor
-    steps = 2 * (rho.dim + 2) + terms + 1
-    rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho)
-    return _Image(out, min(rho._floor, 0.0) * norm_sq - rounding)
+    floor = _kraus_floor(rho, norm_sq=norm_sq, frobenius_sq=frobenius_sq, terms=terms)
+    return _Image(out, floor)
+
+
+def _kraus_images(rho, ops: np.ndarray, *, norm_sq: float, frobenius_sq: float) -> _Image:
+    """K_k rho K_k^dag for each K_k of a stack, not summed, in one stacked
+    call: the stack of ``_kraus_image``'s single products.  ``norm_sq`` and
+    ``frobenius_sq`` bound every K_k, so all images share one floor."""
+    out = ops @ rho.matrix @ ops.conj().swapaxes(-1, -2)
+    return _Image(out, _kraus_floor(rho, norm_sq=norm_sq, frobenius_sq=frobenius_sq, terms=1))
+
+
+def _quotient_image(matrix: np.ndarray, floor: float, weight) -> _Image:
+    """matrix / weight for an operator with eigenvalue floor ``floor`` and real
+    trace ``weight``, or for a stack of them sharing the floor, with an array
+    of weights.  Dividing scales the spectrum by 1 / weight and rounds each
+    entry once."""
+    divisor = weight[..., None, None] if isinstance(weight, np.ndarray) else weight
+    frobenius = _frobenius_bound(matrix.shape[-1], floor, weight)
+    return _Image(matrix / divisor, (min(floor, 0.0) - _EPS * frobenius) / weight)
+
+
+def _certified(image: _Image, dims: tuple[int, int], *, unit_trace: bool) -> np.ndarray:
+    """For each matrix of a stack, whether building it as an operator on local
+    dimensions ``dims`` passes every check on the floor alone: the cap, the
+    Hermiticity and trace checks of ``_validate_operator``, and a certified
+    floor.  A matrix that is not certified is built the ordinary way, which
+    decides and words the outcome; NaN residues are never certified."""
+    m = image.matrix
+    herm_residue = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    trace_ok = np.abs(tr - 1.0) <= TRACE_TOL if unit_trace else tr.real > 0.0
+    floor_ok = image.floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR
+    cap_ok = max(dims) <= max_side_dim()
+    return (herm_residue <= HERMITICITY_TOL) & trace_ok & floor_ok & cap_ok
 
 
 def _outer_image(vectors) -> _Image:
@@ -260,8 +307,9 @@ def _weighted_outer_image(columns: np.ndarray, weights: np.ndarray, norm_sq: flo
     return _Image(out, floor)
 
 
-def _spectral_norm_sq_bound(op: np.ndarray) -> float:
-    """Upper bound on ||op||_2^2 without an SVD; inf for an empty matrix.
+def _spectral_norm_sq_bound(op: np.ndarray):
+    """Upper bound on ||op||_2^2 without an SVD, for a matrix or for each
+    matrix of a stack; inf for an empty matrix.
 
     Gershgorin bounds the top eigenvalue of the smaller gram G by the largest
     row sum of |G|.  The computed gram is off by at most (k + 2) eps
@@ -270,11 +318,18 @@ def _spectral_norm_sq_bound(op: np.ndarray) -> float:
     """
     if op.size == 0:
         return math.inf
-    rows, cols = op.shape
-    gram = op @ op.conj().T if rows <= cols else op.conj().T @ op
+    rows, cols = op.shape[-2:]
+    adjoint = op.conj().swapaxes(-1, -2)
+    gram = op @ adjoint if rows <= cols else adjoint @ op
     mag = np.abs(op)
-    rounding = (max(rows, cols) + 2) * _EPS * mag.sum(axis=1).max() * mag.sum(axis=0).max()
-    return float(np.abs(gram).sum(axis=1).max()) * (1 + len(gram) * _EPS) + rounding
+    rounding = (
+        (max(rows, cols) + 2)
+        * _EPS
+        * mag.sum(axis=-1).max(axis=-1)
+        * mag.sum(axis=-2).max(axis=-1)
+    )
+    bound = np.abs(gram).sum(axis=-1).max(axis=-1) * (1 + gram.shape[-1] * _EPS)
+    return bound + rounding
 
 
 @dataclass(frozen=True)
@@ -327,10 +382,8 @@ class UnnormalizedOperator:
         return float(self.matrix.trace().real)
 
     def normalized(self) -> DensityOperator:
-        w = self.weight
-        # Dividing by w scales the spectrum by 1/w and rounds each entry once.
-        floor = (min(self._floor, 0.0) - _EPS * _frobenius_bound(self, w)) / w
-        return _Image(self.matrix / w, floor).build(DensityOperator, self.factors)
+        image = _quotient_image(self.matrix, self._floor, self.weight)
+        return image.build(DensityOperator, self.factors)
 
 
 _NORM_TOL = 1e-10
@@ -403,7 +456,7 @@ def tensor_product(x: DensityOperator, y: DensityOperator) -> DensityOperator:
         fx * (1.0 + TRACE_TOL - y.dim * fy)
         + fy * (1.0 + TRACE_TOL - x.dim * fx)
         - x.dim * y.dim * (HERMITICITY_TOL / 2) ** 2
-        - 2 * _EPS * _frobenius_bound(x) * _frobenius_bound(y)
+        - 2 * _EPS * _frobenius_bound(x.dim, x._floor) * _frobenius_bound(y.dim, y._floor)
     )
     return _Image(m, floor).build(DensityOperator, factors)
 
@@ -434,15 +487,21 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 def partial_transpose(rho: DensityOperator) -> np.ndarray:
     """Transpose on Bob's whole factor; returns the (possibly non-positive) matrix."""
-    k = rho.num_factors
-    dims = _subsystem_dims(rho.factors)
+    return _partial_transpose(rho.matrix, rho.factors)
+
+
+def _partial_transpose(matrix: np.ndarray, factors) -> np.ndarray:
+    """Bob-side transpose of a matrix, or of each matrix in a stack, on ``factors``."""
+    k = len(factors)
+    dims = _subsystem_dims(factors)
     n = len(dims)
-    arr = rho.matrix.reshape(dims + dims)
-    axes = list(range(2 * n))
+    lead = matrix.ndim - 2
+    arr = matrix.reshape(matrix.shape[:lead] + tuple(dims) * 2)
+    axes = list(range(lead + 2 * n))
     for i in range(k):
-        bob_row, bob_col = k + i, n + k + i
+        bob_row, bob_col = lead + k + i, lead + n + k + i
         axes[bob_row], axes[bob_col] = bob_col, bob_row
-    return arr.transpose(axes).reshape(rho.dim, rho.dim)
+    return arr.transpose(axes).reshape(matrix.shape)
 
 
 def trace_norm_distance(x: DensityOperator, y: DensityOperator) -> float:

@@ -17,11 +17,16 @@ __all__ = [
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary via QR of a complex Ginibre matrix."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return _haar_from_ginibre(g)
+
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of a complex Ginibre matrix, or of each matrix in a stack."""
     q, r = np.linalg.qr(g)
     # Fix the phase ambiguity of QR so the distribution is exactly Haar.
-    phases = np.diag(r).copy()
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 def random_pure_state(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:

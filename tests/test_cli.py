@@ -4,6 +4,7 @@ Commands are exercised through click's in-process runner; outputs are parsed
 back and compared against the library they wrap.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 from distillery import bell, qstate, recurrence
 from distillery.cli import main
+from distillery.sampling import random_density_operator
 
 
 @pytest.fixture
@@ -296,3 +298,36 @@ def test_carve_verify_at_the_dimension_cap(runner):
     assert doc["success_prob"] == 1.0
     assert abs(doc["simulated_success_prob"] - 1.0) < 1e-12
     assert doc["output_residual"] < 1e-12
+
+
+def test_search_projection_output_is_pinned(runner, tmp_path):
+    # the stacked trials print what the one-trial-at-a-time search printed
+    noise = random_density_operator(3, 3, np.random.default_rng(17)).matrix
+    m = 0.6 * qstate.max_entangled(3).density().matrix + 0.4 * noise
+    path = write_state(tmp_path, qstate.DensityOperator.from_matrix(m, 3, 3))
+    args = ["search-projection", "--in", path, "--trials", "40", "--seed", "7"]
+    stdout = invoke_ok(runner, args).stdout
+    assert stdout.startswith(
+        '{"ppt_min_eigenvalue":-0.34555148750780601,"entangled":true,"trial_index":38,'
+        '"success_prob":0.55168862137359187,"pi_a":[[[0.73505469301362947,'
+    )
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "80f89054ec74d409cda513033423b87aab7ce646f10dbfae98e3dad5bb33ce18"
+    )
+
+
+def test_twirl_output_is_pinned(runner, tmp_path):
+    # the stacked twelve-term twirl prints what the sum of twelve products printed
+    path = write_state(tmp_path, random_density_operator(2, 2, np.random.default_rng(8)))
+    assert invoke_ok(runner, ["twirl", "--in", path]).stdout == (
+        '{"dim_a":2,"dim_b":2,"matrix":['
+        "[[0.28179501900907233,2.6480530187999274e-18],[0,0],"
+        "[1.1564823173178713e-18,1.1564823173178713e-18],[0.06359003801814489,0]],"
+        "[[0,0],[0.21820498099092744,-1.0217497600716712e-18],"
+        "[-1.3877787807814457e-17,2.8912057932946783e-19],[8.6736173798840355e-19,0]],"
+        "[[1.1564823173178713e-18,0],[-1.1564823173178713e-17,2.8912057932946783e-19],"
+        "[0.21820498099092744,-1.0217497600716712e-18],[0,0]],"
+        "[[0.06359003801814489,0],[8.6736173798840355e-19,-1.1564823173178713e-18],"
+        "[1.1564823173178713e-18,-1.1564823173178713e-18],"
+        "[0.28179501900907233,2.6480530187999278e-18]]]}\n"
+    )
