@@ -10,7 +10,10 @@ bilateral-CNOT measurement network.
 
 Because the round map is GF(2)-linear, a trial compiles its r rounds once
 into a parity matrix T (r x 2n) and a final-state matrix F (2m x 2n); the
-truth, every candidate and the fallback are then T.x and F.x.
+truth, every candidate and the fallback are then T.x and F.x.  Compiling runs
+the same scalar round map that moves a concrete vector, on Python-int masks:
+each pair's phase and amplitude bit is held as the set of input flat bits it
+is the XOR of, so a mask bit j is input bit j.
 
 Decoding enumerates the closed typicality window
 |-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
@@ -131,19 +134,22 @@ class BellIndexVector:
 
     def to_bits(self) -> np.ndarray:
         """Flat 2m bit string; pair i occupies bits (2i, 2i+1), high bit first."""
-        out = np.empty(2 * len(self.entries), dtype=np.uint8)
-        for i, v in enumerate(self.entries):
-            out[2 * i] = v >> 1
-            out[2 * i + 1] = v & 1
-        return out
+        return _flat_bits(np.array(self.entries, dtype=np.uint8))
 
     @classmethod
     def from_bits(cls, bits) -> "BellIndexVector":
         arr = np.asarray(bits, dtype=np.uint8).reshape(-1)
         if arr.size % 2 != 0:
             raise ValueError(f"bit string length {arr.size} is odd")
-        pairs = arr.reshape(-1, 2)
-        return cls(tuple(int(2 * hi + lo) for hi, lo in pairs))
+        return cls(tuple((2 * arr[0::2] + arr[1::2]).tolist()))
+
+
+def _flat_bits(symbols: np.ndarray) -> np.ndarray:
+    """Bit flattening of the last axis: symbol i -> bits (2i, 2i+1), high bit first."""
+    bits = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.uint8)
+    bits[..., 0::2] = symbols >> 1
+    bits[..., 1::2] = symbols & 1
+    return bits
 
 
 def parity(s, x) -> int:
@@ -170,52 +176,64 @@ def round_update(s, x: BellIndexVector) -> tuple[int, BellIndexVector]:
     sa = np.asarray(s, dtype=np.uint8).reshape(-1)
     if sa.size != 2 * m:
         raise DimensionMismatchError(f"need {2 * m} parity bits, got {sa.size}")
-    if not sa.any():
+    bits = sa.tolist()
+    if not any(bits):
         raise ValueError("all-zero parity string selects nothing; caller must resample")
-    t, rest = _round_kernel(sa, x.to_bits().reshape(m, 2, 1))
-    return int(t[0]), BellIndexVector(tuple((2 * rest[:, 0, 0] + rest[:, 1, 0]).tolist()))
+    phase = [v >> 1 for v in x.entries]
+    amp = [v & 1 for v in x.entries]
+    t = _apply_round(bits, phase, amp)
+    return t, BellIndexVector(tuple(2 * p + a for p, a in zip(phase, amp)))
 
 
-def _round_kernel(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The round map on an (m, 2, K) stack: pair i holds its phase bits in
-    x[i, 0] and its amplitude bits in x[i, 1], one column per input.
+def _apply_round(s: list[int], phase: list[int], amp: list[int]) -> int:
+    """The round map on pairs whose phase bits are ``phase`` and amplitude
+    bits ``amp``; ``s`` is the flat parity string, two entries per pair.
 
-    The map is bitwise, so a column may equally be a byte holding eight
-    inputs.  ``x`` is updated in place.  Returns the revealed row (K,) and the
-    (m - 1, 2, K) stack of the kept pairs.
+    The map is bitwise, so an entry may equally be an int mask holding one
+    bit per input.  Both lists are updated in place and lose the read pair.
+    Returns the revealed bit (or mask).
     """
-    sel = s.reshape(-1, 2).astype(bool)
-    s_hi, s_lo = sel[:, 0], sel[:, 1]
-
-    # Rotate each selected pair so the selected bit sits in the amplitude slot.
-    swap = s_hi & ~s_lo
-    x[swap] = x[swap, ::-1]
-    both = s_hi & s_lo
-    x[both, 1] ^= x[both, 0]
-
-    # Amplitudes accumulate on the lowest selected pair, which is read and
-    # dropped; its phase spreads back onto the other selected pairs.
-    chosen = (s_hi | s_lo).nonzero()[0]
-    i0 = chosen[0]
-    t = np.bitwise_xor.reduce(x[chosen, 1], axis=0)
-    x[chosen[1:], 0] ^= x[i0, 0]
-    return t, np.concatenate((x[:i0], x[i0 + 1 :]))
+    t = 0
+    i0 = -1
+    for i, s_hi, s_lo in zip(range(len(phase)), s[0::2], s[1::2]):
+        # Rotate each selected pair so the selected bit sits in the amplitude slot.
+        if s_lo:
+            if s_hi:
+                amp[i] ^= phase[i]
+        elif s_hi:
+            phase[i], amp[i] = amp[i], phase[i]
+        else:
+            continue
+        # Amplitudes accumulate on the lowest selected pair, which is read and
+        # dropped; its phase spreads back onto the other selected pairs.
+        t ^= amp[i]
+        if i0 < 0:
+            i0 = i
+        else:
+            phase[i] ^= phase[i0]
+    del phase[i0], amp[i0]
+    return t
 
 
 def _compile_rounds(s_list: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """GF(2) matrices of the rounds: T (r x 2n) sends an input's flat bits to
     the bits the rounds reveal, F (2m x 2n) to the flat bits of its final
-    pairs.  The round map is linear, so both come from pushing the 2n basis
-    bits through the rounds as columns, eight to a byte."""
-    x = np.packbits(np.eye(2 * n, dtype=np.uint8), axis=1).reshape(n, 2, -1)
-    rows = []
-    for s in s_list:
-        t, x = _round_kernel(s, x)
-        rows.append(t)
-    return (
-        np.unpackbits(np.array(rows), axis=1, count=2 * n),
-        np.unpackbits(x.reshape(-1, x.shape[2]), axis=1, count=2 * n),
-    )
+    pairs.  The round map is linear, so both come from running it once on
+    int masks: pair i starts as the masks of its input bits 2i and 2i + 1,
+    and each revealed bit and final bit ends as the mask of the input bits it
+    is the XOR of, which is its matrix row."""
+    phase = [1 << (2 * i) for i in range(n)]
+    amp = [2 << (2 * i) for i in range(n)]
+    t_rows = [_apply_round(s.tolist(), phase, amp) for s in s_list]
+    f_rows = [mask for pair in zip(phase, amp) for mask in pair]
+    return _mask_matrix(t_rows, 2 * n), _mask_matrix(f_rows, 2 * n)
+
+
+def _mask_matrix(masks: list[int], width: int) -> np.ndarray:
+    """uint8 matrix whose row k holds bit j of masks[k] in column j."""
+    size = (width + 7) // 8
+    packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -250,8 +268,8 @@ def plan_yield(
     if epsilon is None:
         epsilon = (1.0 - h) / 4.0
     epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise InvalidDistributionError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidDistributionError(f"epsilon must be finite and positive, got {epsilon}")
     if r is None:
         r = math.floor(n * (1.0 + h) / 2.0)
     r = int(r)
@@ -353,9 +371,7 @@ def enumerate_typical(
     for depth in range(n - 1, -1, -1):
         syms[:, depth] = symbols[node % symbols.size]
         node = expanded[depth][node // symbols.size]
-    bits = np.empty((len(syms), 2 * n), dtype=np.uint8)
-    bits[:, 0::2] = syms >> 1
-    bits[:, 1::2] = syms & 1
+    bits = _flat_bits(syms)
     result = _TypicalSet((syms, bits, visits))
     result.packed = np.packbits(bits.T, axis=1)
     _TYPICAL_CACHE[key] = result
@@ -419,11 +435,12 @@ def run_hashing_trial(
         )
     n, r = plan.n, plan.r
     rng = np.random.default_rng(seed)
-    sampled = tuple(int(v) for v in rng.choice(4, size=n, p=np.asarray(src.p)))
+    draw = rng.choice(4, size=n, p=np.asarray(src.p))
+    sampled = tuple(draw.tolist())
     s_list = [_draw_nonzero_bits(rng, 2 * (n - k)) for k in range(r)]
     t_matrix, f_matrix = _compile_rounds(s_list, n)
     # uint8 products wrap modulo 256, which keeps every parity exact.
-    x0 = BellIndexVector(sampled).to_bits()
+    x0 = _flat_bits(draw)
     parity_bits = (t_matrix @ x0) & 1
     true_final = (f_matrix @ x0) & 1
     typical = is_typical(sampled, src, plan.epsilon)

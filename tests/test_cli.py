@@ -277,6 +277,19 @@ def test_hashing_simulate_nan_probability(runner):
     invoke_fail(runner, args, "invalid_distribution")
 
 
+def test_hashing_simulate_non_finite_epsilon(runner):
+    # NaN fails every comparison and inf passes the positivity check; the
+    # summary would print either as a bare token, which is not JSON
+    for value in ("nan", "inf", "-inf"):
+        args = [
+            "hashing", "simulate", "--n", "8",
+            "--p0", "0.9", "--p1", "0.05", "--p2", "0.03", "--p3", "0.02",
+            "--epsilon", value, "--trials", "2",
+        ]  # fmt: skip
+        doc = invoke_fail(runner, args, "invalid_distribution")
+        assert "finite" in doc["message"]
+
+
 def test_check_output_is_pinned(runner, tmp_path):
     # check prints exactly what it printed before it shared the PPT helper
     path = write_state(tmp_path, bell.werner(0.7))

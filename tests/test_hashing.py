@@ -5,8 +5,9 @@ the round map against hand-worked instances, the parity contract, and GF(2)
 linearity; the decoder against direct Monte Carlo.  The library's compiled
 rounds, bit-sliced parity match and level-wise enumeration are checked
 against the slow paths they replaced, kept here as reference
-implementations: the per-vector round, the basis-vector parity matrix, the
-round-by-round replay and the recursive depth-first enumerator.
+implementations: the per-vector round, the basis-vector parity and
+final-state matrices, the round-by-round replay and the recursive
+depth-first enumerator.
 """
 
 import dataclasses
@@ -94,6 +95,16 @@ def ref_parity_matrix(s_list, n):
         basis[j] = 1
         t_matrix[:, j] = ref_chain(s_list, BellIndexVector.from_bits(basis))[0]
     return t_matrix
+
+
+def ref_final_matrix(s_list, n):
+    """Column j holds the final flat bits of the j-th flat basis bit."""
+    f_matrix = np.zeros((2 * (n - len(s_list)), 2 * n), dtype=np.uint8)
+    for j in range(2 * n):
+        basis = np.zeros(2 * n, dtype=np.uint8)
+        basis[j] = 1
+        f_matrix[:, j] = ref_chain(s_list, BellIndexVector.from_bits(basis))[1].to_bits()
+    return f_matrix
 
 
 def ref_enumerate_typical(src, n, epsilon, budget=hashing.DEFAULT_DECODER_BUDGET):
@@ -284,6 +295,20 @@ def test_round_update_matches_reference():
         assert type(t) is int
 
 
+def test_compile_rounds_matches_reference():
+    # 2n crosses the 64-bit word boundary between n = 32 and n = 33; the
+    # rounds are drawn as a trial draws them, after the sampled string
+    src = SourceDist(SKEWED)
+    for n in (4, 5, 24, 32, 33, 40):
+        rng = np.random.default_rng([67, n])
+        rng.choice(4, size=n, p=np.asarray(src.p))
+        s_list = [draw_nonzero_bits(rng, 2 * (n - k)) for k in range(plan_yield(src, n).r)]
+        t_matrix, f_matrix = hashing._compile_rounds(s_list, n)
+        assert t_matrix.dtype == f_matrix.dtype == np.uint8
+        assert np.array_equal(t_matrix, ref_parity_matrix(s_list, n))
+        assert np.array_equal(f_matrix, ref_final_matrix(s_list, n))
+
+
 def test_plan_yield_examples():
     # zero-entropy source, n = 10: r = floor(10 * 1 / 2) = 5 rounds, m = 5
     pure = SourceDist((1.0, 0.0, 0.0, 0.0))
@@ -310,6 +335,9 @@ def test_plan_yield_examples():
 
     with pytest.raises(DimensionMismatchError):
         plan_yield(src, 3)
+    for bad in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDistributionError):
+            plan_yield(src, 16, epsilon=bad)
     with pytest.raises(EntropyTooHighError):
         plan_yield(SourceDist((0.25,) * 4), 16)  # two bits of entropy
 
