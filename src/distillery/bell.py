@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidStateError, ZeroProbabilityError
 from .locc import (
+    _FILTER_NORM_SQ,
     COMPLETENESS_TOL,
     ZERO_PROBABILITY_TOL,
     LocalFilter,
     SelectiveOutcome,
-    _filter_branches,
+    _kron,
     apply_selective,
 )
 from .qstate import (
@@ -359,8 +360,15 @@ def _project_stack(rho: DensityOperator, pi_a: np.ndarray, pi_b: np.ndarray):
     """
     va, range_a = _range_isometries(pi_a)
     vb, range_b = _range_isometries(pi_b)
-    branch, filter_ok = _filter_branches(
-        va.conj().swapaxes(-1, -2), vb.conj().swapaxes(-1, -2), rho
+    a_ops, b_ops = va.conj().swapaxes(-1, -2), vb.conj().swapaxes(-1, -2)
+    # LocalFilter's norm certificate on both sides; a pair that fails it goes
+    # through LocalFilter itself, whose SVD decides and words the outcome.
+    filter_ok = (_spectral_norm_sq_bound(a_ops) <= 1.0 + COMPLETENESS_TOL) & (
+        _spectral_norm_sq_bound(b_ops) <= 1.0 + COMPLETENESS_TOL
+    )
+    kraus = _kron(a_ops, b_ops)[:, None]  # one Kraus operator per trial
+    branch = _kraus_image(
+        rho, kraus, norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
     )
     # The probability is the branch trace itself, so SelectiveOutcome's
     # consistency check between the two holds by construction.

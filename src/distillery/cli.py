@@ -57,9 +57,9 @@ def _write_file(path: str, text: str) -> None:
         raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_json(doc, out=None) -> None:
-    text = _json_value(doc)
-    if out is None:
+def _emit(text: str, out: str | None = None) -> None:
+    """Print ``text``, or write it to the file ``out`` unless that is ``-``."""
+    if out is None or out == "-":
         click.echo(text)
     else:
         _write_file(out, text)
@@ -96,14 +96,6 @@ def _load_state(path: str) -> qstate.DensityOperator:
     return qstate.state_from_json(_read_file(path))
 
 
-def _write_state(rho: qstate.DensityOperator, out: str | None) -> None:
-    text = qstate.state_to_json(rho)
-    if out is None or out == "-":
-        click.echo(text)
-    else:
-        _write_file(out, text)
-
-
 @click.group()
 def main() -> None:
     """Exact two-qubit distillation toolkit: states, twirls, recurrence, hashing."""
@@ -131,7 +123,7 @@ def cmd_state(kind, fidelity, label, dim, path, out) -> None:
         if path is None:
             raise ValueError("file needs --in")
         rho = _load_state(path)
-    _write_state(rho, out)
+    _emit(qstate.state_to_json(rho), out)
 
 
 @main.command("check")
@@ -151,7 +143,7 @@ def cmd_check(path, out) -> None:
         doc["ppt_min_eigenvalue"] = bell.ppt_min_eigenvalue(rho)
         doc["fully_entangled_fraction"] = None
         doc["entangled"] = None
-    _emit_json(doc, out)
+    _emit(_json_value(doc), out)
 
 
 @main.command("twirl")
@@ -163,7 +155,7 @@ def cmd_check(path, out) -> None:
 def cmd_twirl(path, out, mode, seed) -> None:
     """Twirl a two-qubit state to Werner form (or sample one protocol member)."""
     rho = _load_state(path)
-    _write_state(bell.twirl(rho, mode=mode, seed=seed), out)
+    _emit(qstate.state_to_json(bell.twirl(rho, mode=mode, seed=seed)), out)
 
 
 @main.command("recurrence")
@@ -183,11 +175,7 @@ def cmd_recurrence(f0, f_target, max_steps, out) -> None:
         lines.append(
             f"{k},{_csv_real(trace.fidelities[k])},{_csv_real(p)},{_csv_real(cumulative)}"
         )
-    text = "\n".join(lines)
-    if out is None or out == "-":
-        click.echo(text)
-    else:
-        _write_file(out, text)
+    _emit("\n".join(lines), out)
 
 
 @main.group("hashing")
@@ -265,7 +253,7 @@ def cmd_hashing_simulate(
     if out_format == "csv":
         click.echo(csv_text)
     else:
-        _emit_json(summary)
+        _emit(_json_value(summary))
 
 
 @main.command("carve")
@@ -290,7 +278,7 @@ def cmd_carve(dim, omega, verify) -> None:
         residual = float(np.abs(outcome.normalized().matrix - target.matrix).max())
         doc["simulated_success_prob"] = outcome.probability
         doc["output_residual"] = residual
-    _emit_json(doc)
+    _emit(_json_value(doc))
 
 
 @main.command("search-projection")
@@ -310,7 +298,7 @@ def cmd_search_projection(path, trials, seed) -> None:
         "pi_a": _complex_matrix_doc(witness.pi_a),
         "pi_b": _complex_matrix_doc(witness.pi_b),
     }
-    _emit_json(doc)
+    _emit(_json_value(doc))
 
 
 if __name__ == "__main__":

@@ -25,15 +25,15 @@ from .errors import (
 )
 from .qstate import (
     _CERTIFICATE_SLACK,
+    _EPS,
     DensityOperator,
     PureState,
     UnnormalizedOperator,
+    _integer,
     _json_loads,
     _kraus_image,
     _matrix_from_json,
     _matrix_to_json,
-    _Image,
-    _kraus_images,
     _outer_image,
     _spectral_norm_sq_bound,
     max_side_dim,
@@ -72,15 +72,31 @@ def product_factor_singular_values(
     grouping (Alice out, Alice in) against (Bob out, Bob in) turns a product
     operator into a rank-one matrix.
     """
+    return np.linalg.svd(_rearranged(op, in_dims, out_dims), compute_uv=False)
+
+
+def _rearranged(op, in_dims, out_dims) -> np.ndarray:
     a_in, b_in = in_dims
     a_out, b_out = out_dims
     arr = op.reshape(a_out, b_out, a_in, b_in).transpose(0, 2, 1, 3)
-    return np.linalg.svd(arr.reshape(a_out * a_in, b_out * b_in), compute_uv=False)
+    return arr.reshape(a_out * a_in, b_out * b_in)
 
 
-def _is_product_form(op, in_dims, out_dims) -> bool:
-    s = product_factor_singular_values(op, in_dims, out_dims)
-    return len(s) < 2 or s[1] < PRODUCT_FORM_TOL
+def _product_factors(op, in_dims, out_dims):
+    """Factors (A, B) and ||op - A (x) B||_F, or None if op is not product.
+
+    One SVD of the rearranged operator decides product form, as
+    ``product_factor_singular_values`` would (second singular value below
+    ``PRODUCT_FORM_TOL``), and its leading pair gives the factors.
+    """
+    m = _rearranged(op, in_dims, out_dims)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    if len(s) > 1 and not s[1] < PRODUCT_FORM_TOL:
+        return None
+    root = math.sqrt(s[0])
+    a, b = root * u[:, 0], root * vh[0]
+    error = float(np.linalg.norm(m - np.outer(a, b)))
+    return a.reshape(out_dims[0], in_dims[0]), b.reshape(out_dims[1], in_dims[1]), error
 
 
 # Bounds on ||K||_2^2 that validation proves: each side of a normalized filter
@@ -96,27 +112,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
     product = a[..., :, None, :, None] * b[..., None, :, None, :]
     return product.reshape(product.shape[:-4] + (ra * rb, ca * cb))
-
-
-def _product_certificate(op, in_dims, out_dims):
-    """Factors (A, B) and ||op - A (x) B||_F, or None if op is not certified product.
-
-    A one-pivot cross approximation of the rearranged operator M gives the
-    rank-one u v^T; the second singular value of M is at most ||M - u v^T||_F,
-    so a residual below half the tolerance certifies what ``_is_product_form``
-    would decide, without an SVD.
-    """
-    a_in, b_in = in_dims
-    a_out, b_out = out_dims
-    m = op.reshape(a_out, b_out, a_in, b_in).transpose(0, 2, 1, 3).reshape(a_out * a_in, -1)
-    i, j = np.unravel_index(np.argmax(np.abs(m)), m.shape)
-    pivot = m[i, j]
-    u = m[:, j]
-    v = m[i] / pivot if pivot != 0 else np.zeros_like(m[i])
-    residual = float(np.linalg.norm(m - np.outer(u, v)))
-    if not residual < _CERTIFICATE_SLACK * PRODUCT_FORM_TOL:
-        return None
-    return u.reshape(a_out, a_in), v.reshape(b_out, b_in), residual
 
 
 def _completeness_certified(factors) -> bool:
@@ -144,9 +139,11 @@ class KrausChannel:
     ``trace_preserving`` distinguishes full channels from selective branches
     (completeness sum at most the identity).  ``product_form`` declares every
     Kraus operator to factor as an Alice part tensor a Bob part; the claim is
-    verified numerically on construction.  Product channels are first checked
-    with certificates built from the local factors; the dense SVD and the
-    eigensolve of the completeness sum run only where those fail.
+    verified numerically on construction.  A product channel built inside the
+    library from its local factors (``_product_channel``) keeps them in
+    ``_pairs``; one given as dense operators gets its factors from one SVD
+    each.  Completeness is first certified from the factors; the eigensolve
+    of the completeness sum runs only where that fails.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -156,14 +153,18 @@ class KrausChannel:
     trace_preserving: bool = False
     provenance: str = ""
 
+    # Validation proves ||K||_2^2 <= _norm_sq for each Kraus operator.
+    _norm_sq = _KRAUS_NORM_SQ
+    _noun = "channel"  # in error messages
+
     def __post_init__(self):
         ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)
         for op in ops:
             op.setflags(write=False)
         object.__setattr__(self, "kraus_ops", ops)
-        object.__setattr__(self, "in_dims", (int(self.in_dims[0]), int(self.in_dims[1])))
+        object.__setattr__(self, "in_dims", _channel_dims(self.in_dims))
         object.__setattr__(
-            self, "out_factors", tuple((int(a), int(b)) for a, b in self.out_factors)
+            self, "out_factors", tuple(_channel_dims(pair) for pair in self.out_factors)
         )
         if not ops:
             raise InvalidChannelError("channel needs at least one Kraus operator")
@@ -174,16 +175,21 @@ class KrausChannel:
                 raise InvalidChannelError(
                     f"Kraus operator shape {op.shape} does not match ({dout}, {din})"
                 )
-        # Product operators are certified cheaply first; the dense tests run
-        # only where a certificate fails, and they alone reject.
-        certified = None
-        if self.product_form:
-            certified = [_product_certificate(op, self.in_dims, self.out_dims) for op in ops]
+        # Completeness is certified from the factors first; the dense test
+        # runs only where the certificate fails, and it alone rejects.
+        factors = None
+        if "_pairs" in self.__dict__:
+            # ``_kron`` rounds each entry of A (x) B once.
+            factors = [
+                (a, b, 2 * _EPS * np.linalg.norm(a) * np.linalg.norm(b)) for a, b in self._pairs
+            ]
+        elif self.product_form:
+            factors = [_product_factors(op, self.in_dims, self.out_dims) for op in ops]
         if (
             self.trace_preserving
-            or certified is None
-            or any(c is None for c in certified)
-            or not _completeness_certified(certified)
+            or factors is None
+            or None in factors
+            or not _completeness_certified(factors)
         ):
             gram = sum(op.conj().T @ op for op in ops)
             eigenvalues = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
@@ -198,12 +204,10 @@ class KrausChannel:
                     raise InvalidChannelError(
                         f"declared trace preserving but completeness residue is {residue:.3e}"
                     )
-        if self.product_form:
-            for i, op in enumerate(ops):
-                if certified[i] is None and not _is_product_form(op, self.in_dims, self.out_dims):
-                    raise InvalidChannelError(
-                        f"Kraus operator {i} is not a product of local operators"
-                    )
+        if factors is not None and None in factors:
+            raise InvalidChannelError(
+                f"Kraus operator {factors.index(None)} is not a product of local operators"
+            )
 
     @property
     def in_dim(self) -> int:
@@ -222,28 +226,68 @@ class KrausChannel:
         return a * b
 
 
+def _channel_dims(pair) -> tuple[int, int]:
+    return _integer(pair[0], InvalidChannelError), _integer(pair[1], InvalidChannelError)
+
+
+def _product_channel(pairs, **fields) -> KrausChannel:
+    """The product channel with Kraus operators A_k (x) B_k over ``pairs`` of
+    local factors, which it keeps in ``_pairs``: product form holds by
+    construction, and completeness is certified from the factors themselves.
+    ``fields`` are the other ``KrausChannel`` fields."""
+    channel = KrausChannel.__new__(KrausChannel)
+    channel.__dict__.update(
+        kraus_ops=tuple(_kron(a, b) for a, b in pairs),
+        product_form=True,
+        _pairs=tuple(pairs),
+        **fields,
+    )
+    channel.__post_init__()
+    return channel
+
+
 @dataclass(frozen=True)
-class LocalFilter:
+class LocalFilter(KrausChannel):
     """One Kraus operator per side: rho -> (A tensor B) rho (A tensor B)†.
 
-    Normalized filters have spectral norm at most one per side, so the filter
-    trace reads as a probability.  Set ``normalized=False`` to carry analysis
-    operators that are only used structurally (e.g. for support projectors).
+    The product sub-channel of the single operator A tensor B, formed once on
+    construction.  Normalized filters have spectral norm at most one per
+    side, so the filter trace reads as a probability.  Set
+    ``normalized=False`` to carry analysis operators that are only used
+    structurally (e.g. for support projectors); those cannot be applied.
     """
 
+    # The channel fields are derived from a_op and b_op, not passed.
+    kraus_ops: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    in_dims: tuple[int, int] = field(init=False, repr=False)
+    out_factors: tuple[tuple[int, int], ...] = field(init=False, repr=False)
+    product_form: bool = field(default=True, init=False, repr=False)
+    trace_preserving: bool = field(default=False, init=False, repr=False)
+    provenance: str = field(default="", init=False, repr=False)
     a_op: np.ndarray
     b_op: np.ndarray
     normalized: bool = True
 
+    _noun = "filter"
+
     def __post_init__(self):
+        # Validates on its own, not through KrausChannel: the norm check is
+        # per side, so 2 I (x) I / 2 is rejected although its product is I.
         a = np.array(self.a_op, dtype=complex)
         b = np.array(self.b_op, dtype=complex)
         if a.ndim != 2 or b.ndim != 2:
             raise InvalidFilterError("filter operators must be matrices")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a_op", a)
-        object.__setattr__(self, "b_op", b)
+        kraus = _kron(a, b)
+        for op in (a, b, kraus):
+            op.setflags(write=False)
+        self.__dict__.update(
+            a_op=a,
+            b_op=b,
+            kraus_ops=(kraus,),
+            in_dims=(a.shape[1], b.shape[1]),
+            out_factors=((a.shape[0], b.shape[0]),),
+            _norm_sq=_FILTER_NORM_SQ if self.normalized else None,
+        )
         if self.normalized:
             for name, op in (("a_op", a), ("b_op", b)):
                 # A bound <= 1 + tol certifies a norm <= 1 + tol/2 without an
@@ -256,34 +300,6 @@ class LocalFilter:
                         f"{name} has spectral norm {norm:.12f} > 1; "
                         "flag the filter as unnormalized if this is intended"
                     )
-
-    @property
-    def in_dims(self) -> tuple[int, int]:
-        return (self.a_op.shape[1], self.b_op.shape[1])
-
-    @property
-    def out_dims(self) -> tuple[int, int]:
-        return (self.a_op.shape[0], self.b_op.shape[0])
-
-
-def _filter_branches(
-    a_ops: np.ndarray, b_ops: np.ndarray, rho: DensityOperator
-) -> tuple[_Image, np.ndarray]:
-    """The branches of ``apply_selective`` for a stack of filters A_k (x) B_k on
-    one state, in one stacked call, with their shared floor.
-
-    Also returns, per filter, whether ``LocalFilter``'s norm certificate
-    passes on both sides; a filter that fails it must be built as a
-    ``LocalFilter``, whose SVD decides and words the outcome.  The branch
-    probabilities and the outcome checks are the caller's.
-    """
-    certified = (_spectral_norm_sq_bound(a_ops) <= 1.0 + COMPLETENESS_TOL) & (
-        _spectral_norm_sq_bound(b_ops) <= 1.0 + COMPLETENESS_TOL
-    )
-    branches = _kraus_images(
-        rho, _kron(a_ops, b_ops), norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
-    )
-    return branches, certified
 
 
 @dataclass(frozen=True)
@@ -325,60 +341,43 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
     return DensityOperator(channel.out_factors, out)
 
 
-def apply_selective(
-    op: LocalFilter | KrausChannel, rho: DensityOperator | PureState
-) -> SelectiveOutcome:
-    """Apply a filter or a sub-channel branch, keeping the outcome weight.
+def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> SelectiveOutcome:
+    """Apply a sub-channel branch, a ``LocalFilter`` included, keeping the
+    outcome weight.
 
-    A ``PureState`` input is never expanded to its density matrix: the branch
-    is sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
+    The branch is sum_k K_k rho K_k^dag, with the floor proved from the
+    ||K_k||^2 bound that the channel's class carries.  A ``PureState`` input
+    is never expanded to its density matrix: the branch is
+    sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
     Raises ZeroProbabilityError when the branch weight falls below 1e-12, so
     callers never divide by a numerically vanished trace.
     """
-    pure = isinstance(rho, PureState)
-    if isinstance(op, LocalFilter):
-        if not op.normalized:
-            raise InvalidFilterError(
-                "selective application needs a normalized filter; "
-                "the trace of an unnormalized branch is not a probability"
-            )
-        if op.in_dims != (rho.dim_a, rho.dim_b):
-            raise DimensionMismatchError(
-                f"filter input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
-            )
-        m = _kron(op.a_op, op.b_op)
-        if pure:
-            image = _outer_image(m @ rho.amplitudes)
-        else:
-            image = _kraus_image(
-                rho, m, norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
-            )
-        out_factors = (op.out_dims,)
-    elif isinstance(op, KrausChannel):
-        if op.in_dims != (rho.dim_a, rho.dim_b):
-            raise DimensionMismatchError(
-                f"channel input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
-            )
-        if pure:
-            image = _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
-        else:
-            count = len(op.kraus_ops)
-            image = _kraus_image(
-                rho,
-                op.kraus_ops,
-                norm_sq=count * _KRAUS_NORM_SQ,
-                frobenius_sq=rho.dim * _KRAUS_NORM_SQ,
-            )
-        out_factors = op.out_factors
-    else:
+    if not isinstance(op, KrausChannel):
         raise TypeError(f"expected LocalFilter or KrausChannel, got {type(op)!r}")
-
+    if op._norm_sq is None:
+        raise InvalidFilterError(
+            "selective application needs a normalized filter; "
+            "the trace of an unnormalized branch is not a probability"
+        )
+    if op.in_dims != (rho.dim_a, rho.dim_b):
+        raise DimensionMismatchError(
+            f"{op._noun} input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
+        )
+    if isinstance(rho, PureState):
+        image = _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
+    else:
+        image = _kraus_image(
+            rho,
+            op.kraus_ops,
+            norm_sq=len(op.kraus_ops) * op._norm_sq,
+            frobenius_sq=rho.dim * op._norm_sq,
+        )
     probability = float(np.trace(image.matrix).real)
     if probability <= ZERO_PROBABILITY_TOL:
         raise ZeroProbabilityError(
             f"selective branch has probability {probability:.3e} <= {ZERO_PROBABILITY_TOL}"
         )
-    branch = image.build(UnnormalizedOperator, out_factors)
+    branch = image.build(UnnormalizedOperator, op.out_factors)
     return SelectiveOutcome(branch, probability)
 
 
@@ -463,18 +462,16 @@ def carve_pairs(d: int, omega: float) -> CarveReport:
     block = 2**n_pairs
     kappa = d // block
     success_prob = kappa * block / d
-    ops = []
+    pairs = []
     for j in range(kappa):
         pi = np.zeros((block, d), dtype=complex)
         for level in range(block):
             pi[level, j * block + level] = 1.0
-        ops.append(np.kron(pi, pi))
-    channel = KrausChannel(
-        kraus_ops=tuple(ops),
+        pairs.append((pi, pi))
+    channel = _product_channel(
+        pairs,
         in_dims=(d, d),
         out_factors=((2, 2),) * n_pairs,
-        product_form=True,
-        trace_preserving=False,
         provenance="aligned local block projections, coinciding outcomes kept",
     )
     return CarveReport(
@@ -509,13 +506,12 @@ def channel_from_json(text: str) -> KrausChannel:
     try:
         raw_ops = list(doc["kraus_ops"])
         a_in, b_in = doc["in_dims"]
-        out_factors = tuple((int(a), int(b)) for a, b in doc["out_factors"])
-        in_dims = (int(a_in), int(b_in))
+        out_factors = tuple((a, b) for a, b in doc["out_factors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidChannelError(f"malformed channel document: {exc}") from exc
     return KrausChannel(
         kraus_ops=tuple(_matrix_from_json(raw, InvalidChannelError) for raw in raw_ops),
-        in_dims=in_dims,
+        in_dims=(a_in, b_in),
         out_factors=out_factors,
         product_form=bool(doc.get("product_form", False)),
         trace_preserving=bool(doc.get("trace_preserving", False)),

@@ -223,35 +223,30 @@ def _kraus_image(
     divisor: float | None = None,
     adjoints=None,
 ) -> _Image:
-    """sum_k K_k rho K_k^dag, divided by ``divisor`` if one is given.
+    """sum_k K_k rho K_k^dag over the Kraus axis (-3) of a stack of operators,
+    divided by ``divisor`` if one is given.
 
-    ``ops`` is one matrix K, whose single product is not summed, or a stack
-    (or sequence) of them.  A stack's products are formed in one stacked
-    call and reduced over the stack axis from 0.0, in order: the same
-    additions as Python's ``sum``, signed zeros included.  ``adjoints`` may
-    hold the stacked K_k^dag of a constant stack, computed once as
+    The products are formed in one stacked call.  A single product is not
+    summed; several are reduced from 0.0, in order: the same additions as
+    Python's ``sum``, signed zeros included.  Leading axes hold independent
+    sums (one per trial, say) that share the floor, so ``norm_sq`` and
+    ``frobenius_sq`` must bound each of them.  ``adjoints`` may hold the
+    stacked K_k^dag of a constant stack, computed once as
     ``K.conj().swapaxes(-1, -2)``.  The floor is ``_kraus_floor``'s.
     """
-    m = rho.matrix
     ops = np.asarray(ops)
-    if ops.ndim == 2:
-        out, terms = ops @ m @ ops.conj().T, 1
+    if adjoints is None:
+        adjoints = ops.conj().swapaxes(-1, -2)
+    products = ops @ rho.matrix @ adjoints
+    terms = ops.shape[-3]
+    if terms == 1:
+        out = products[..., 0, :, :]
     else:
-        if adjoints is None:
-            adjoints = ops.conj().swapaxes(-1, -2)
-        out, terms = np.add.reduce(ops @ m @ adjoints, axis=0, initial=0.0), len(ops)
+        out = np.add.reduce(products, axis=-3, initial=0.0)
     if divisor is not None:
         out = out / divisor
     floor = _kraus_floor(rho, norm_sq=norm_sq, frobenius_sq=frobenius_sq, terms=terms)
     return _Image(out, floor)
-
-
-def _kraus_images(rho, ops: np.ndarray, *, norm_sq: float, frobenius_sq: float) -> _Image:
-    """K_k rho K_k^dag for each K_k of a stack, not summed, in one stacked
-    call: the stack of ``_kraus_image``'s single products.  ``norm_sq`` and
-    ``frobenius_sq`` bound every K_k, so all images share one floor."""
-    out = ops @ rho.matrix @ ops.conj().swapaxes(-1, -2)
-    return _Image(out, _kraus_floor(rho, norm_sq=norm_sq, frobenius_sq=frobenius_sq, terms=1))
 
 
 def _quotient_image(matrix: np.ndarray, floor: float, weight) -> _Image:
@@ -280,16 +275,17 @@ def _certified(image: _Image, dims: tuple[int, int], *, unit_trace: bool) -> np.
 
 
 def _outer_image(vectors) -> _Image:
-    """sum_k v_k v_k^dag for one vector (not summed) or a sequence summed in
-    order from 0.  Each v v^dag is positive and each of its complex entries
-    rounds by at most 2 eps |v_i| |v_j|; the sum adds one rounding a term.
-    Twice the computed trace bounds sum_k ||v_k||^2."""
-    if isinstance(vectors, np.ndarray):
-        out, count = np.outer(vectors, vectors.conj()), 1
+    """sum_k v_k v_k^dag over a sequence of vectors: a single product is not
+    summed, several are summed in order from 0.  Each v v^dag is positive and
+    each of its complex entries rounds by at most 2 eps |v_i| |v_j|; the sum
+    adds one rounding a term.  Twice the computed trace bounds
+    sum_k ||v_k||^2."""
+    if len(vectors) == 1:
+        out = np.outer(vectors[0], vectors[0].conj())
     else:
-        out, count = sum(np.outer(v, v.conj()) for v in vectors), len(vectors)
+        out = sum(np.outer(v, v.conj()) for v in vectors)
     weight = 2 * float(np.trace(out).real)
-    return _Image(out, -(count + 2) * _EPS * weight)
+    return _Image(out, -(len(vectors) + 2) * _EPS * weight)
 
 
 def _weighted_outer_image(columns: np.ndarray, weights: np.ndarray, norm_sq: float) -> _Image:
@@ -359,7 +355,7 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityOperator":
-        return _outer_image(psi.amplitudes).build(cls, ((psi.dim_a, psi.dim_b),))
+        return _outer_image([psi.amplitudes]).build(cls, ((psi.dim_a, psi.dim_b),))
 
 
 @dataclass(frozen=True)
@@ -565,6 +561,17 @@ def _json_loads(text: str):
     return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
 
 
+def _integer(value, error: type[Exception]) -> int:
+    """A dimension: an integer, or a float with an integer value (``-0``
+    reads as -0.0); anything else, booleans, strings and non-finite numbers
+    included, raises ``error``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise error(f"dimension {value!r} is not an integer")
+
+
 def _matrix_to_json(m: np.ndarray) -> str:
     """Row-major ``[[[re, im], ...], ...]`` with 17 significant digits."""
     rows = []
@@ -599,8 +606,8 @@ def state_to_json(rho: DensityOperator) -> str:
 def state_from_json(text: str) -> DensityOperator:
     doc = _json_loads(text)
     try:
-        dim_a = int(doc["dim_a"])
-        dim_b = int(doc["dim_b"])
+        dim_a = _integer(doc["dim_a"], InvalidStateError)
+        dim_b = _integer(doc["dim_b"], InvalidStateError)
         raw = doc["matrix"]
     except (KeyError, TypeError) as exc:
         raise InvalidStateError(f"malformed state document: {exc}") from exc

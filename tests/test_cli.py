@@ -233,6 +233,35 @@ def test_malformed_state_files(runner, tmp_path):
     invoke_fail(runner, ["check", "--in", str(unphysical)], "invalid_state")
 
 
+def test_state_dims_must_be_integers(runner, tmp_path):
+    # non-finite or fractional dims once ended in a traceback or read as 1
+    bad = tmp_path / "bad.json"
+    good = qstate.state_to_json(bell.werner(0.7))
+    for value in ("Infinity", "-Infinity", "NaN", "1e400", "1.9", "true", '"2"'):
+        bad.write_text(good.replace('"dim_a":2', f'"dim_a":{value}'))
+        result = runner.invoke(main, ["check", "--in", str(bad)])
+        assert result.exit_code == 1 and result.stdout == ""
+        assert "Traceback" not in result.output + result.stderr
+        line = result.stderr.strip()
+        assert "\n" not in line
+        assert json.loads(line)["error_code"] == "invalid_state"
+
+
+def test_out_dash_prints_to_stdout(runner, tmp_path, monkeypatch):
+    # "--out -" means stdout on every command that takes --out; no file named "-"
+    monkeypatch.chdir(tmp_path)
+    path = write_state(tmp_path, bell.werner(0.7))
+    for args in (
+        ["check", "--in", path],
+        ["twirl", "--in", path],
+        ["state", "werner", "--F", "0.7"],
+        ["recurrence", "--F0", "0.7", "--F-target", "0.9"],
+    ):
+        plain = invoke_ok(runner, args).stdout
+        assert invoke_ok(runner, args + ["--out", "-"]).stdout == plain
+    assert not (tmp_path / "-").exists()
+
+
 def test_unreadable_and_unwritable_files(runner, tmp_path):
     missing = str(tmp_path / "missing.json")
     for args in (

@@ -72,6 +72,10 @@ def test_product_factor_singular_values():
             swap[j * 2 + i, i * 2 + j] = 1.0
     s = product_factor_singular_values(swap, (2, 2), (2, 2))
     assert s[1] > 0.5  # the two-side swap is not a local product
+    # the one SVD that decides product form also gives the factors
+    fa, fb, error = locc._product_factors(np.kron(a, b), (2, 3), (2, 3))
+    assert error < 1e-12 and np.abs(np.kron(fa, fb) - np.kron(a, b)).max() < 1e-12
+    assert locc._product_factors(swap, (2, 2), (2, 2)) is None
 
 
 def test_channel_validation():
@@ -148,6 +152,36 @@ def test_local_filter_validation():
     LocalFilter(2.0 * np.eye(2), np.eye(2), normalized=False)
     with pytest.raises(InvalidFilterError):
         LocalFilter(np.ones(2), np.eye(2))  # not a matrix
+
+
+def test_local_filter_is_a_one_pair_product_channel():
+    rng = np.random.default_rng(26)
+    f = LocalFilter(np.eye(2), np.eye(3))
+    assert isinstance(f, KrausChannel)
+    assert f.product_form and not f.trace_preserving
+    assert f.in_dims == (2, 3) and f.out_factors == ((2, 3),)
+    assert np.array_equal(f.kraus_ops[0], np.eye(6))
+    # per-side norms: 2 I (x) I/2 is the valid channel operator I, not a filter
+    KrausChannel((np.eye(4),), (2, 2), ((2, 2),), product_form=True)
+    with pytest.raises(InvalidFilterError):
+        LocalFilter(2.0 * np.eye(2), 0.5 * np.eye(2))
+    for dim_a, dim_b in ((2, 2), (3, 2), (2, 4)):
+        for _ in range(4):
+            a = random_op(rng, 2, dim_a)
+            b = random_op(rng, 2, dim_b)
+            a, b = 0.9 * a / np.linalg.norm(a, 2), b / np.linalg.norm(b, 2)
+            filt = LocalFilter(a, b)
+            chan = KrausChannel((np.kron(a, b),), (dim_a, dim_b), ((2, 2),), product_form=True)
+            for state in (
+                random_density_operator(dim_a, dim_b, rng),
+                random_pure_state(dim_a, dim_b, rng),
+            ):
+                # the same branch, bit for bit; only the floors differ, as
+                # each class proves its own bound on ||K||^2
+                x = apply_selective(filt, state).unnormalized_state
+                y = apply_selective(chan, state).unnormalized_state
+                assert x.matrix.tobytes() == y.matrix.tobytes()
+                assert x.factors == y.factors
 
 
 def test_apply_selective_matches_dense_route():
@@ -302,6 +336,55 @@ def test_carve_probability_lower_bound():
             assert abs(rep.success_prob - kappa * block / d) < 1e-12
 
 
+def test_carve_pairs_runs_no_svd_or_eigensolve(monkeypatch):
+    # carving channels carry their factors, so the grid up to the dimension
+    # cap is checked from them alone
+    calls = []
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "svd", spy("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    built = 0
+    for d in range(2, 65):
+        for omega in (0.3, 0.5, 0.8):
+            if math.floor(omega * math.log2(d)) > 0:
+                carve_pairs(d, omega)
+                built += 1
+    assert built > 150 and calls == []
+    # while the same operators handed over dense get their factors by SVD
+    chan = carve_pairs(12, 0.5).channel
+    KrausChannel(chan.kraus_ops, chan.in_dims, chan.out_factors, product_form=True)
+    assert calls == ["svd"] * len(chan.kraus_ops)
+
+
+def test_product_channel_decides_from_its_factors():
+    # a channel built from factor pairs is checked on those pairs, and
+    # decides and words every outcome as the dense check does
+    rng = np.random.default_rng(27)
+    outcomes = []
+    for top in (0.5, 1.0, 1.0 + 3e-9, 1.7):
+        pairs = [(haar_unitary(2, rng), math.sqrt(top / 2) * haar_unitary(3, rng))]
+        pairs.append((np.diag([1.0, 0.0]), math.sqrt(top / 2) * haar_unitary(3, rng)))
+        ops = [np.kron(a, b) for a, b in pairs]
+        expected = dense_channel_check(ops, (2, 3), ((2, 3),), True, False)
+        try:
+            chan = locc._product_channel(pairs, in_dims=(2, 3), out_factors=((2, 3),))
+        except InvalidChannelError as exc:
+            assert expected == (type(exc), str(exc))
+            outcomes.append(False)
+        else:
+            assert expected is None
+            assert all(np.array_equal(k, op) for k, op in zip(chan.kraus_ops, ops))
+            outcomes.append(True)
+    assert outcomes == [True, True, False, False]
+
+
 def test_carve_channel_structure():
     rep = carve_pairs(6, 0.5)
     chan = rep.channel
@@ -436,7 +519,7 @@ def test_product_certificates_match_dense_checks():
     # lifts the completeness sum to 1 + 4e-9: the certificate must count it
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     op = np.eye(4) + 2e-9 * np.kron(x, x)
-    assert locc._product_certificate(op, (2, 2), (2, 2)) is not None
+    assert locc._product_factors(op, (2, 2), (2, 2)) is not None
     assert not assert_matches_dense([op], (2, 2), ((2, 2),))
 
 
@@ -460,12 +543,10 @@ def test_non_product_operators_match_dense_checks():
                     op = op / np.linalg.norm(op, 2) + noise * perturbation
                 ops.append(op)
             assert_matches_dense(scaled_to(ops, 0.9), (3, 2), ((2, 2),))
-    # a near-product operator that the dense SVD accepts but whose cross
-    # approximation misses half the tolerance: the fallback decides
+    # a near-product operator that the dense SVD accepts
     op = np.kron(np.eye(2), np.eye(2)) / 2
     op = op + 7e-9 * np.kron(np.array([[0, 1], [0, 0]]), np.array([[0, 0], [1, 0]]))
     assert assert_matches_dense([op], (2, 2), ((2, 2),))
-    assert locc._product_certificate(op, (2, 2), (2, 2)) is None
 
 
 def test_trace_preserving_channels_match_dense_checks():
@@ -491,14 +572,14 @@ def test_completeness_fallback_when_gershgorin_is_loose():
     rng = np.random.default_rng(34)
     a = np.diag([1.0, 0.5]) @ haar_unitary(2, rng)
     op = np.kron(a, np.eye(3))
-    certified = [locc._product_certificate(op, (2, 3), (2, 3))]
+    certified = [locc._product_factors(op, (2, 3), (2, 3))]
     assert certified[0] is not None
     assert not locc._completeness_certified(certified)
     assert assert_matches_dense([op], (2, 3), ((2, 3),))
     assert not assert_matches_dense([1.01 * op], (2, 3), ((2, 3),))
     # while carving channels pass on the certificate alone
     chan = carve_pairs(12, 0.5).channel
-    certified = [locc._product_certificate(k, chan.in_dims, chan.out_dims) for k in chan.kraus_ops]
+    certified = [locc._product_factors(k, chan.in_dims, chan.out_dims) for k in chan.kraus_ops]
     assert locc._completeness_certified(certified)
 
 
@@ -575,6 +656,22 @@ def test_channel_json_rejects_malformed_documents():
     del doc["kraus_ops"]
     with pytest.raises(InvalidChannelError):
         channel_from_json(json.dumps(doc))
+
+
+def test_channel_dims_must_be_integers():
+    good = json.loads(channel_to_json(carve_pairs(4, 0.5).channel))
+    for bad in ("Infinity", "-Infinity", "NaN", "1e400", "4.7", "true", '"4"'):
+        for key, template in (("in_dims", "[{}, 4]"), ("out_factors", "[[2, {}]]")):
+            doc = json.dumps(dict(good, **{key: None})).replace("null", template.format(bad))
+            with pytest.raises(InvalidChannelError, match="is not an integer"):
+                channel_from_json(doc)
+    op = np.eye(4)
+    bad_dims = (((4.7, 1), ((4, 1),)), ((True, 4), ((1, 4),)), ((4, 1), ((0, 4),)))
+    for in_dims, out_factors in bad_dims:
+        with pytest.raises(InvalidChannelError):
+            KrausChannel((op,), in_dims, out_factors)
+    chan = KrausChannel((op,), (np.int64(2), 2.0), ((2, np.int32(2)),))
+    assert chan.in_dims == (2, 2) and type(chan.out_factors[0][1]) is int
 
 
 def test_channel_json_round_trip_keeps_signed_zeros():
