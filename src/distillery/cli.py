@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import bell, hashing, locc, qstate, recurrence
-from .errors import DistilleryError, FileAccessError
+from .errors import DistilleryError, FileAccessError, InvalidDistributionError
 
 _JSON_SIG = 17
 _CSV_SIG = 12
@@ -209,6 +209,8 @@ def cmd_hashing_simulate(
 ) -> None:
     """Monte Carlo hashing runs with per-trial seeds derived from --seed."""
     raw = (p0, p1, p2, p3)
+    if not np.isfinite(raw).all():
+        raise InvalidDistributionError(f"non-finite probability in {raw}")
     total = sum(raw)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}; must be 1 within 1e-9")

@@ -29,6 +29,7 @@ from .qstate import (
     DensityOperator,
     PureState,
     UnnormalizedOperator,
+    _frozen_matrix,
     _integer,
     _json_loads,
     _kraus_image,
@@ -85,16 +86,17 @@ def _rearranged(op, in_dims, out_dims) -> np.ndarray:
 def _product_factors(op, in_dims, out_dims):
     """Factors (A, B) and ||op - A (x) B||_F, or None if op is not product.
 
-    One SVD of the rearranged operator decides product form, as
-    ``product_factor_singular_values`` would (second singular value below
-    ``PRODUCT_FORM_TOL``), and its leading pair gives the factors.
+    The singular values of the rearranged operator M decide product form
+    exactly as ``product_factor_singular_values`` does (second singular value
+    below ``PRODUCT_FORM_TOL``).  The factors are M's largest column a and
+    b = a^dag M / |a|^2, and the measured ||M - a b^T||_F is the error.
     """
     m = _rearranged(op, in_dims, out_dims)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    s = np.linalg.svd(m, compute_uv=False)
     if len(s) > 1 and not s[1] < PRODUCT_FORM_TOL:
         return None
-    root = math.sqrt(s[0])
-    a, b = root * u[:, 0], root * vh[0]
+    a = m[:, np.argmax(np.linalg.norm(m, axis=0))]
+    b = a.conj() @ m / (np.vdot(a, a).real or 1.0)
     error = float(np.linalg.norm(m - np.outer(a, b)))
     return a.reshape(out_dims[0], in_dims[0]), b.reshape(out_dims[1], in_dims[1]), error
 
@@ -114,21 +116,21 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product.reshape(product.shape[:-4] + (ra * rb, ca * cb))
 
 
-def _completeness_certified(factors) -> bool:
-    """Certify max eig sum_k K_k^dag K_k <= 1 + tol from the factors of K_k.
+def _completeness_certified(a, b, errors) -> bool:
+    """Certify max eig sum_k K_k^dag K_k <= 1 + tol from the (K, ., .) stacks
+    A and B of the factors of K_k and their factoring errors ||E_k||_F.
 
     With P_k = A_k (x) B_k, Gershgorin on sum_k (A_k^dag A_k) (x) (B_k^dag B_k)
     bounds its top eigenvalue g by the largest sum_k rA_k[a] rB_k[b], where
     rA_k and rB_k are the row sums of |A_k^dag A_k| and |B_k^dag B_k|: O(K d^2)
-    work instead of an eigensolve of the d^2 x d^2 sum.  The factoring errors
+    work instead of an eigensolve of the d^2 x d^2 sum.  The errors
     E_k = K_k - P_k add at most their joint norm e: for a unit vector x,
     sqrt(sum_k |K_k x|^2) <= sqrt(g) + sqrt(sum_k ||E_k||_F^2).
     """
-    row_sums_a = np.array([np.abs(a.conj().T @ a).sum(axis=1) for a, _, _ in factors])
-    row_sums_b = np.array([np.abs(b.conj().T @ b).sum(axis=1) for _, b, _ in factors])
+    row_sums_a = np.abs(a.conj().swapaxes(-1, -2) @ a).sum(axis=-1)
+    row_sums_b = np.abs(b.conj().swapaxes(-1, -2) @ b).sum(axis=-1)
     gershgorin = float((row_sums_a.T @ row_sums_b).max())
-    error = math.sqrt(sum(e * e for _, _, e in factors))
-    bound = (math.sqrt(gershgorin) + error) ** 2
+    bound = (math.sqrt(gershgorin) + float(np.linalg.norm(errors))) ** 2
     return bound <= 1.0 + _CERTIFICATE_SLACK * COMPLETENESS_TOL
 
 
@@ -140,10 +142,11 @@ class KrausChannel:
     (completeness sum at most the identity).  ``product_form`` declares every
     Kraus operator to factor as an Alice part tensor a Bob part; the claim is
     verified numerically on construction.  A product channel built inside the
-    library from its local factors (``_product_channel``) keeps them in
-    ``_pairs``; one given as dense operators gets its factors from one SVD
-    each.  Completeness is first certified from the factors; the eigensolve
-    of the completeness sum runs only where that fails.
+    library from its local factors (``_product_channel``, ``LocalFilter``)
+    keeps just their stacks in ``_pairs`` and forms its ``kraus_ops`` on their
+    first read; one given as dense operators gets its factors at the boundary.
+    Completeness is first certified from the factors; the eigensolve of the
+    completeness sum runs only where that fails.
     """
 
     kraus_ops: tuple[np.ndarray, ...]
@@ -158,40 +161,41 @@ class KrausChannel:
     _noun = "channel"  # in error messages
 
     def __post_init__(self):
-        ops = tuple(np.array(k, dtype=complex) for k in self.kraus_ops)
-        for op in ops:
-            op.setflags(write=False)
-        object.__setattr__(self, "kraus_ops", ops)
+        pairs = self.__dict__.get("_pairs")
+        if pairs is None:
+            ops = tuple(_frozen_matrix(k) for k in self.kraus_ops)
+            object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "in_dims", _channel_dims(self.in_dims))
         object.__setattr__(
             self, "out_factors", tuple(_channel_dims(pair) for pair in self.out_factors)
         )
-        if not ops:
+        if len(ops if pairs is None else pairs[0]) == 0:
             raise InvalidChannelError("channel needs at least one Kraus operator")
         din = self.in_dim
         dout = self.out_dim
-        for op in ops:
-            if op.shape != (dout, din):
-                raise InvalidChannelError(
-                    f"Kraus operator shape {op.shape} does not match ({dout}, {din})"
-                )
+        if pairs is None:
+            for op in ops:
+                if op.shape != (dout, din):
+                    raise InvalidChannelError(
+                        f"Kraus operator shape {op.shape} does not match ({dout}, {din})"
+                    )
+        else:
+            sides = tuple((len(pairs[0]), o, i) for o, i in zip(self.out_dims, self.in_dims))
+            if tuple(side.shape for side in pairs) != sides:
+                raise InvalidChannelError(f"factor stacks do not have the shapes {sides}")
         # Completeness is certified from the factors first; the dense test
         # runs only where the certificate fails, and it alone rejects.
-        factors = None
-        if "_pairs" in self.__dict__:
+        factors, certified = None, False
+        if pairs is not None:
             # ``_kron`` rounds each entry of A (x) B once.
-            factors = [
-                (a, b, 2 * _EPS * np.linalg.norm(a) * np.linalg.norm(b)) for a, b in self._pairs
-            ]
+            norms = [np.linalg.norm(side, axis=(1, 2)) for side in pairs]
+            certified = _completeness_certified(*pairs, 2 * _EPS * norms[0] * norms[1])
         elif self.product_form:
             factors = [_product_factors(op, self.in_dims, self.out_dims) for op in ops]
-        if (
-            self.trace_preserving
-            or factors is None
-            or None in factors
-            or not _completeness_certified(factors)
-        ):
-            gram = sum(op.conj().T @ op for op in ops)
+            if None not in factors:
+                certified = _completeness_certified(*map(np.array, zip(*factors)))
+        if self.trace_preserving or not certified:
+            gram = sum(op.conj().T @ op for op in self.kraus_ops)
             eigenvalues = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
             if eigenvalues.max() > 1.0 + COMPLETENESS_TOL:
                 raise InvalidChannelError(
@@ -208,6 +212,17 @@ class KrausChannel:
             raise InvalidChannelError(
                 f"Kraus operator {factors.index(None)} is not a product of local operators"
             )
+
+    def __getattr__(self, name):
+        # Only reached for attributes not in the instance dict: the dense
+        # Kraus operators of a channel kept as factors, on their first read.
+        pairs = self.__dict__.get("_pairs")
+        if name != "kraus_ops" or pairs is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = _kron(*pairs)
+        ops.setflags(write=False)
+        self.__dict__["kraus_ops"] = tuple(ops)
+        return self.kraus_ops
 
     @property
     def in_dim(self) -> int:
@@ -230,18 +245,15 @@ def _channel_dims(pair) -> tuple[int, int]:
     return _integer(pair[0], InvalidChannelError), _integer(pair[1], InvalidChannelError)
 
 
-def _product_channel(pairs, **fields) -> KrausChannel:
-    """The product channel with Kraus operators A_k (x) B_k over ``pairs`` of
-    local factors, which it keeps in ``_pairs``: product form holds by
-    construction, and completeness is certified from the factors themselves.
+def _product_channel(a_ops, b_ops, **fields) -> KrausChannel:
+    """The product channel with Kraus operators A_k (x) B_k, kept as frozen
+    copies of the (K, ., .) stacks ``a_ops`` and ``b_ops`` of its factors:
+    product form holds by construction, completeness is certified from the
+    factors, and no A_k (x) B_k is formed unless ``kraus_ops`` is read.
     ``fields`` are the other ``KrausChannel`` fields."""
+    pairs = (_frozen_matrix(a_ops), _frozen_matrix(b_ops))
     channel = KrausChannel.__new__(KrausChannel)
-    channel.__dict__.update(
-        kraus_ops=tuple(_kron(a, b) for a, b in pairs),
-        product_form=True,
-        _pairs=tuple(pairs),
-        **fields,
-    )
+    channel.__dict__.update(product_form=True, _pairs=pairs, **fields)
     channel.__post_init__()
     return channel
 
@@ -250,9 +262,10 @@ def _product_channel(pairs, **fields) -> KrausChannel:
 class LocalFilter(KrausChannel):
     """One Kraus operator per side: rho -> (A tensor B) rho (A tensor B)†.
 
-    The product sub-channel of the single operator A tensor B, formed once on
-    construction.  Normalized filters have spectral norm at most one per
-    side, so the filter trace reads as a probability.  Set
+    The product sub-channel of the single operator A tensor B, kept as its
+    two sides: A tensor B is formed when ``kraus_ops`` is first read, as by
+    applying the filter.  Normalized filters have spectral norm at most one
+    per side, so the filter trace reads as a probability.  Set
     ``normalized=False`` to carry analysis operators that are only used
     structurally (e.g. for support projectors); those cannot be applied.
     """
@@ -273,17 +286,13 @@ class LocalFilter(KrausChannel):
     def __post_init__(self):
         # Validates on its own, not through KrausChannel: the norm check is
         # per side, so 2 I (x) I / 2 is rejected although its product is I.
-        a = np.array(self.a_op, dtype=complex)
-        b = np.array(self.b_op, dtype=complex)
+        a, b = _frozen_matrix(self.a_op), _frozen_matrix(self.b_op)
         if a.ndim != 2 or b.ndim != 2:
             raise InvalidFilterError("filter operators must be matrices")
-        kraus = _kron(a, b)
-        for op in (a, b, kraus):
-            op.setflags(write=False)
         self.__dict__.update(
             a_op=a,
             b_op=b,
-            kraus_ops=(kraus,),
+            _pairs=(a[None], b[None]),
             in_dims=(a.shape[1], b.shape[1]),
             out_factors=((a.shape[0], b.shape[0]),),
             _norm_sq=_FILTER_NORM_SQ if self.normalized else None,
@@ -349,6 +358,9 @@ def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> Selec
     ||K_k||^2 bound that the channel's class carries.  A ``PureState`` input
     is never expanded to its density matrix: the branch is
     sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
+    A channel kept as factors forms each K_k psi = vec(A_k Psi B_k^T), with
+    Psi the amplitudes as a dim_a x dim_b matrix, and no K_k; a filter
+    applies its A tensor B, so its branches keep their bits.
     Raises ZeroProbabilityError when the branch weight falls below 1e-12, so
     callers never divide by a numerically vanished trace.
     """
@@ -363,7 +375,12 @@ def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> Selec
         raise DimensionMismatchError(
             f"{op._noun} input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
         )
-    if isinstance(rho, PureState):
+    pairs = None if isinstance(op, LocalFilter) else op.__dict__.get("_pairs")
+    if isinstance(rho, PureState) and pairs is not None:
+        a, b = pairs
+        psi = rho.amplitudes.reshape(rho.dim_a, rho.dim_b)
+        image = _outer_image(list((a @ psi @ b.swapaxes(-1, -2)).reshape(len(a), -1)))
+    elif isinstance(rho, PureState):
         image = _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
     else:
         image = _kraus_image(
@@ -440,9 +457,11 @@ def carve_pairs(d: int, omega: float) -> CarveReport:
     """Selective map cutting floor(omega * log2 d) qubit pairs from dimension d.
 
     Both sides project onto aligned blocks of size 2^{n_pairs}; outcomes with
-    coinciding block index j < kappa form the success branch.  On the d x d
-    maximally entangled input the success branch has probability
-    kappa * 2^{n_pairs} / d and yields n_pairs perfect qubit pairs.
+    coinciding block index j < kappa form the success branch.  The channel
+    keeps the pairs (pi_j, pi_j) of block isometries, sliced from the
+    identity, and forms no pi_j tensor pi_j.  On the d x d maximally entangled
+    input the success branch has probability kappa * 2^{n_pairs} / d and
+    yields n_pairs perfect qubit pairs.
     """
     d = int(d)
     omega = float(omega)
@@ -462,14 +481,10 @@ def carve_pairs(d: int, omega: float) -> CarveReport:
     block = 2**n_pairs
     kappa = d // block
     success_prob = kappa * block / d
-    pairs = []
-    for j in range(kappa):
-        pi = np.zeros((block, d), dtype=complex)
-        for level in range(block):
-            pi[level, j * block + level] = 1.0
-        pairs.append((pi, pi))
+    pis = np.eye(d, dtype=complex)[: kappa * block].reshape(kappa, block, d)
     channel = _product_channel(
-        pairs,
+        pis,
+        pis,
         in_dims=(d, d),
         out_factors=((2, 2),) * n_pairs,
         provenance="aligned local block projections, coinciding outcomes kept",

@@ -119,7 +119,7 @@ def iterate_to_target(
     f_target = float(f_target)
     if not 0.5 < f0 < 1.0:
         raise NotDistillableError(f"starting fidelity {f0} outside (1/2, 1)")
-    if f_target >= 1.0:
+    if not f_target < 1.0:
         raise UnreachableTargetError(
             f"target {f_target} is not reachable: each step keeps fidelity below 1"
         )

@@ -6,12 +6,13 @@ back and compared against the library they wrap.
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from distillery import bell, qstate, recurrence
+from distillery import bell, locc, qstate, recurrence
 from distillery.cli import main
 from distillery.sampling import random_density_operator
 
@@ -129,6 +130,40 @@ def test_recurrence_csv_schedule(runner, tmp_path):
 def test_recurrence_errors(runner):
     invoke_fail(runner, ["recurrence", "--F0", "0.3", "--F-target", "0.9"], "not_distillable")
     invoke_fail(runner, ["recurrence", "--F0", "0.7", "--F-target", "0.5"], "unreachable_target")
+
+
+def invoke_one_error_line(runner, args, code):
+    """Exit code 1, nothing on stdout, exactly one JSON error line on stderr."""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1 and result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert set(doc) == {"error_code", "message"} and doc["error_code"] == code
+    return doc["message"]
+
+
+def test_non_finite_inputs_fail_with_one_json_line(runner):
+    # a NaN target once passed every comparison and printed a zero-step
+    # schedule; infinite weights summed to NaN and were reported normalized
+    for value in ("nan", "inf", "-inf"):
+        args = ["recurrence", "--F0", value, "--F-target", "0.9"]
+        assert value in invoke_one_error_line(runner, args, "not_distillable")
+        args = ["recurrence", "--F0", "0.7", "--F-target", value]
+        assert value in invoke_one_error_line(runner, args, "unreachable_target")
+        args = [
+            "hashing", "simulate", "--n", "8",
+            "--p0", "0.5", "--p1", value, "--p2", "0.25", "--p3", "0.25",
+            "--trials", "2",
+        ]  # fmt: skip
+        message = invoke_one_error_line(runner, args, "invalid_distribution")
+        assert message == f"non-finite probability in (0.5, {float(value)}, 0.25, 0.25)"
+    args = [
+        "hashing", "simulate", "--n", "8",
+        "--p0", "0.5", "--p1", "inf", "--p2", "-inf", "--p3", "0.5", "--trials", "2",
+    ]  # fmt: skip
+    message = invoke_one_error_line(runner, args, "invalid_distribution")
+    assert message == "non-finite probability in (0.5, inf, -inf, 0.5)"
 
 
 def test_hashing_simulate_summary(runner, tmp_path):
@@ -373,3 +408,66 @@ def test_twirl_output_is_pinned(runner, tmp_path):
         "[1.1564823173178713e-18,-1.1564823173178713e-18],"
         "[0.28179501900907233,2.6480530187999278e-18]]]}\n"
     )
+
+
+# sha256 of ``carve --d D --omega W --verify`` stdout, recorded before the
+# carving channel kept its factors; d = 5 at omega = 0.3 carves nothing
+CARVE_VERIFY_SHA256 = {
+    (5, "0.5"): "bffa40d5a9f9e7821c631f3889a2e03c61b1717b8140a6b029431de78854a83c",
+    (5, "0.8"): "f71e3ac4c5683ca1c9f042e9fca4ae751c9f8155626c3614000d89053d1ece93",
+    (16, "0.3"): "a1c5974951093dd144a4c46a6aae1809efa8ff8e206416f352079f0f827896dd",
+    (16, "0.5"): "a752c49d5d96f380fbac8aae3be41691ab6705d1a0e413532d4ed05ecb717e41",
+    (16, "0.8"): "18bb7bef7c1f7c6e5dc35bad95bc3b89c36b24472ef9ac5176962e2ba490feef",
+    (24, "0.3"): "4ab54e12333205bea473e0fa4beb6e837ea23e44994c13613c644a60c0c5a2ac",
+    (24, "0.5"): "ff51847d150ff38002c6d78630e7b8e95e49545d5ad64b765b686b9ee793f810",
+    (24, "0.8"): "1792f7cf4c498069651baa770dae6c25d6dd9ac51b530cdeda435dfc9795612e",
+    (32, "0.3"): "4ee87c07f136b58189d7c5f83f2dff7d94aed52fa55e7fc51f08fb1d92ef5605",
+    (32, "0.5"): "0b44a03c2ac7c57da089ed44b1c56e75b7ba257b01e445e8852b5442b90a27b8",
+    (32, "0.8"): "c5500f92f6e4f35711cccc75f755811dd37b9fb727a369346c36a8c10c321fe2",
+    (64, "0.3"): "71d2053268d5400db6fa7d66ec70feae5d5a7957243e5d00677ada93a7c71d6f",
+    (64, "0.5"): "49f30ea051e72556183fe8da4ddd355e5bf8b39fff608e9edcdff4af63220b00",
+    (64, "0.8"): "a3c2ad613cfacc51e425f65ec6f8355cb81014eae7f3e8ca416b0b0694a5f191",
+}
+
+
+def test_carve_verify_output_is_pinned(runner):
+    for d in (5, 16, 24, 32, 64):
+        for omega in ("0.3", "0.5", "0.8"):
+            args = ["carve", "--d", str(d), "--omega", omega, "--verify"]
+            if (d, omega) == (5, "0.3"):
+                invoke_fail(runner, args, "nothing_to_carve")
+                continue
+            digest = hashlib.sha256(invoke_ok(runner, args).stdout.encode()).hexdigest()
+            assert digest == CARVE_VERIFY_SHA256[d, omega], (d, omega)
+
+
+def test_carve_verify_forms_no_dense_kraus_operator(runner, monkeypatch):
+    # the success branch comes from the factor pairs applied to the state
+    # vector; no pi_j (x) pi_j is ever formed
+    formed = []
+
+    def spy(a, b):
+        formed.append((a.shape, b.shape))
+        return kron(a, b)
+
+    kron = locc._kron
+    monkeypatch.setattr(locc, "_kron", spy)
+    for d, omega in ((5, "0.5"), (16, "0.8"), (33, "0.5"), (64, "0.8"), (64, "0.99")):
+        invoke_ok(runner, ["carve", "--d", str(d), "--omega", omega, "--verify"])
+    assert formed == []
+    # while reading the operators of the same channel forms them
+    assert len(locc.carve_pairs(16, 0.8).channel.kraus_ops) == 2 and len(formed) == 1
+
+
+def test_carve_verify_memory_at_the_dimension_cap(runner):
+    # d = 64, omega = 0.8 once held four dense 256 x 4096 Kraus operators and
+    # their copies, a 128 MB peak; the factored branch needs a few MB
+    args = ["carve", "--d", "64", "--omega", "0.8", "--verify"]
+    invoke_ok(runner, args)
+    tracemalloc.start()
+    try:
+        invoke_ok(runner, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak

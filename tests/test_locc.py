@@ -41,6 +41,7 @@ from distillery.qstate import (
     DensityOperator,
     PureState,
     UnnormalizedOperator,
+    _outer_image,
     max_entangled,
     partial_trace,
     partial_transpose,
@@ -374,7 +375,8 @@ def test_product_channel_decides_from_its_factors():
         ops = [np.kron(a, b) for a, b in pairs]
         expected = dense_channel_check(ops, (2, 3), ((2, 3),), True, False)
         try:
-            chan = locc._product_channel(pairs, in_dims=(2, 3), out_factors=((2, 3),))
+            a_ops, b_ops = (np.array(side) for side in zip(*pairs))
+            chan = locc._product_channel(a_ops, b_ops, in_dims=(2, 3), out_factors=((2, 3),))
         except InvalidChannelError as exc:
             assert expected == (type(exc), str(exc))
             outcomes.append(False)
@@ -383,6 +385,11 @@ def test_product_channel_decides_from_its_factors():
             assert all(np.array_equal(k, op) for k, op in zip(chan.kraus_ops, ops))
             outcomes.append(True)
     assert outcomes == [True, True, False, False]
+    # shapes are checked on the factor stacks, before any operator is formed
+    with pytest.raises(InvalidChannelError, match="factor stacks"):
+        locc._product_channel(
+            np.eye(2)[None], np.eye(3)[None], in_dims=(2, 2), out_factors=((2, 2),)
+        )
 
 
 def test_carve_channel_structure():
@@ -391,11 +398,25 @@ def test_carve_channel_structure():
     assert chan.product_form and not chan.trace_preserving
     assert chan.in_dims == (6, 6)
     assert chan.out_factors == ((2, 2),)
+    # the channel keeps its factor pairs; the dense operators are formed on
+    # their first read, frozen, and kept
+    assert "kraus_ops" not in vars(chan)
+    ops = chan.kraus_ops
+    assert chan.kraus_ops is ops and len(ops) == 3
     # each Kraus operator is pi_j (x) pi_j with pi_j the aligned block isometry
-    for j, op in enumerate(chan.kraus_ops):
+    for j, op in enumerate(ops):
         pi = np.zeros((2, 6))
         pi[0, 2 * j] = pi[1, 2 * j + 1] = 1.0
-        assert np.abs(op - np.kron(pi, pi)).max() == 0.0
+        assert op.dtype == complex and not op.flags.writeable
+        assert op.tobytes() == np.kron(pi, pi).astype(complex).tobytes()
+    for d, omega in ((16, 0.8), (33, 0.5), (64, 0.5)):
+        rep = carve_pairs(d, omega)
+        block = 2**rep.n_pairs
+        ops = rep.channel.kraus_ops
+        assert len(ops) == rep.kappa
+        for j, op in enumerate(ops):
+            pi = np.eye(d)[j * block : (j + 1) * block]
+            assert np.array_equal(op, np.kron(pi, pi))
 
 
 def test_product_filters_cannot_create_entanglement():
@@ -574,13 +595,47 @@ def test_completeness_fallback_when_gershgorin_is_loose():
     op = np.kron(a, np.eye(3))
     certified = [locc._product_factors(op, (2, 3), (2, 3))]
     assert certified[0] is not None
-    assert not locc._completeness_certified(certified)
+    assert not locc._completeness_certified(*map(np.array, zip(*certified)))
     assert assert_matches_dense([op], (2, 3), ((2, 3),))
     assert not assert_matches_dense([1.01 * op], (2, 3), ((2, 3),))
     # while carving channels pass on the certificate alone
     chan = carve_pairs(12, 0.5).channel
     certified = [locc._product_factors(k, chan.in_dims, chan.out_dims) for k in chan.kraus_ops]
-    assert locc._completeness_certified(certified)
+    assert locc._completeness_certified(*map(np.array, zip(*certified)))
+
+
+def test_factored_carve_branch_matches_dense_operators():
+    # the branch from the factor pairs is the branch the dense operators gave,
+    # K_k psi summed as outer products: bit for bit, probability and floor too
+    for d in range(2, 65):
+        psi = max_entangled(d)
+        for omega in (0.3, 0.5, 0.8, 0.99):
+            if math.floor(omega * math.log2(d)) == 0:
+                continue
+            chan = carve_pairs(d, omega).channel
+            outcome = apply_selective(chan, psi)
+            vectors = [locc._kron(a, b) @ psi.amplitudes for a, b in zip(*chan._pairs)]
+            image = _outer_image(vectors)
+            dense = image.build(UnnormalizedOperator, chan.out_factors)
+            branch = outcome.unnormalized_state
+            assert branch.matrix.tobytes() == dense.matrix.tobytes(), (d, omega)
+            assert outcome.probability == float(np.trace(image.matrix).real)
+            assert branch._floor == dense._floor
+            assert "kraus_ops" not in vars(chan)
+
+
+def test_unnormalized_filter_forms_no_product_operator():
+    rng = np.random.default_rng(36)
+    a = haar_unitary(32, rng)[:, :2] @ random_op(rng, 2, 32)
+    b = haar_unitary(32, rng)[:, :2] @ random_op(rng, 2, 32)
+    f = LocalFilter(a, b, normalized=False)
+    pi_a, pi_b = support_projector(f)
+    assert np.abs(a @ pi_a - a).max() < 1e-10 and np.abs(b @ pi_b - b).max() < 1e-10
+    assert "kraus_ops" not in vars(f)
+    with pytest.raises(InvalidFilterError):
+        apply_selective(f, max_entangled(32))
+    # reading the operator forms A (x) B as before
+    assert f.kraus_ops[0].tobytes() == locc._kron(f.a_op, f.b_op).tobytes()
 
 
 def test_apply_selective_pure_state_matches_density_route():
