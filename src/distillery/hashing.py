@@ -8,20 +8,20 @@ we call it the amplitude bit.  Each round consumes one pair and reveals one
 parity of the surviving description, exactly the linear-algebra shadow of the
 bilateral-CNOT measurement network.
 
-Because the round map is GF(2)-linear, a trial compiles its r rounds once
-into a parity matrix T (r x 2n) and a final-state matrix F (2m x 2n); the
-truth, every candidate and the fallback are then T.x and F.x.  Compiling runs
-the same scalar round map that moves a concrete vector, on Python-int masks:
-each pair's phase and amplitude bit is held as the set of input flat bits it
-is the XOR of, so a mask bit j is input bit j.
+A trial draws its r parity strings in one generator call.  The round map is
+GF(2)-linear, so it runs once on Python-int masks, each pair's bits held as
+the set of input flat bits they are the XOR of; the revealed and final bits
+of the truth, every candidate and the fallback are products with the masks.
 
 Decoding enumerates the closed typicality window
 |-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
 log-probability pruning, then keeps candidates whose parities match every
-revealed bit, tested eight candidates to a byte.  A trial succeeds when every
-surviving candidate agrees with the truth about the final (unmeasured) pairs;
-when nothing survives, an arbitrary fallback sequence is decoded and almost
-always counts as failure.
+revealed bit: for each four flat bits the typical set stores the XORs of
+their 16 subsets, 64 candidates to a word, so one lookup per nibble of a
+mask gives its parities.  A trial succeeds when every surviving candidate
+agrees with the truth about the final (unmeasured) pairs; when nothing
+survives, an arbitrary fallback sequence is decoded and almost always counts
+as failure.
 """
 
 from __future__ import annotations
@@ -215,25 +215,20 @@ def _apply_round(s: list[int], phase: list[int], amp: list[int]) -> int:
     return t
 
 
-def _compile_rounds(s_list: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """GF(2) matrices of the rounds: T (r x 2n) sends an input's flat bits to
-    the bits the rounds reveal, F (2m x 2n) to the flat bits of its final
-    pairs.  The round map is linear, so both come from running it once on
-    int masks: pair i starts as the masks of its input bits 2i and 2i + 1,
-    and each revealed bit and final bit ends as the mask of the input bits it
-    is the XOR of, which is its matrix row."""
+def _round_masks(s_list: list[list[int]], n: int) -> tuple[list[int], list[int]]:
+    """Int masks over the 2n input flat bits of the r revealed and 2m final flat
+    bits: the round map is linear, so it runs once on masks (bit j = input bit j)."""
     phase = [1 << (2 * i) for i in range(n)]
     amp = [2 << (2 * i) for i in range(n)]
-    t_rows = [_apply_round(s.tolist(), phase, amp) for s in s_list]
-    f_rows = [mask for pair in zip(phase, amp) for mask in pair]
-    return _mask_matrix(t_rows, 2 * n), _mask_matrix(f_rows, 2 * n)
+    t_masks = [_apply_round(s, phase, amp) for s in s_list]
+    return t_masks, [mask for pair in zip(phase, amp) for mask in pair]
 
 
-def _mask_matrix(masks: list[int], width: int) -> np.ndarray:
-    """uint8 matrix whose row k holds bit j of masks[k] in column j."""
-    size = (width + 7) // 8
-    packed = np.frombuffer(b"".join(v.to_bytes(size, "little") for v in masks), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(masks), size), axis=1, count=width, bitorder="little")
+def _compile_rounds(s_list: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """GF(2) matrices of the rounds, T (r x 2n) for the revealed bits and F
+    (2m x 2n) for the final flat bits, whose rows are ``_round_masks``."""
+    masks = _round_masks([s.tolist() for s in s_list], n)
+    return tuple(np.array([[v >> j & 1 for j in range(2 * n)] for v in m], np.uint8) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -265,11 +260,7 @@ def plan_yield(
         raise EntropyTooHighError(
             f"source entropy {h} >= 1 bit: the yield formulas give nothing"
         )
-    if epsilon is None:
-        epsilon = (1.0 - h) / 4.0
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise InvalidDistributionError(f"epsilon must be finite and positive, got {epsilon}")
+    epsilon = _window((1.0 - h) / 4.0 if epsilon is None else epsilon)
     if r is None:
         r = math.floor(n * (1.0 + h) / 2.0)
     r = int(r)
@@ -287,13 +278,20 @@ def plan_yield(
     )
 
 
+def _window(epsilon) -> float:
+    """The typicality window half-width as a float; it must be finite and positive."""
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidDistributionError(f"epsilon must be finite and positive, got {epsilon}")
+    return epsilon
+
+
 def is_typical(x, src: SourceDist, epsilon: float) -> bool:
     """Closed typicality window on the empirical mean surprisal.
 
     A string containing a zero-probability symbol is never typical.
     """
-    if epsilon <= 0.0:
-        raise InvalidDistributionError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _window(epsilon)
     entries = x.entries if isinstance(x, BellIndexVector) else tuple(int(v) for v in x)
     n = len(entries)
     if n == 0:
@@ -309,14 +307,27 @@ def is_typical(x, src: SourceDist, epsilon: float) -> bool:
 
 
 class _TypicalSet(tuple):
-    """(symbols, bits, visits) with ``packed``: the bits transposed to one row
-    per flat bit position and packed eight candidates to a byte."""
+    """(symbols, bits, visits) with ``tables``: ``tables[g, v]`` packs, 64 to a word, the
+    XOR over each candidate's flat bits 4g + b for the bits b set in v."""
 
-    packed: np.ndarray
+    tables: np.ndarray
+
+
+def _subset_tables(walk: np.ndarray) -> np.ndarray:
+    """``_TypicalSet.tables`` of the columns of ``walk`` (n x C symbols), by doublings."""
+    n, count = walk.shape
+    rows = np.zeros((4 * ((n + 1) // 2), count + -count % 64), dtype=np.uint8)
+    rows[0 : 2 * n : 2, :count] = walk >> 1
+    rows[1 : 2 * n : 2, :count] = walk & 1
+    words = np.packbits(rows, axis=1, bitorder="little").view(np.uint64)
+    tables = np.zeros((len(rows) // 4, 1, words.shape[1]), dtype=np.uint64)
+    for b in range(4):
+        tables = np.concatenate((tables, tables ^ words[b::4, None]), axis=1)
+    return tables
 
 
 # Recent enumerations only: a sweep over many sources would otherwise keep
-# every one for the life of the process (~180 KB each at n = 24).
+# every one for the life of the process (~240 KB each at n = 24).
 _TYPICAL_CACHE_SIZE = 4
 _TYPICAL_CACHE: OrderedDict[tuple, _TypicalSet] = OrderedDict()
 
@@ -332,7 +343,8 @@ def enumerate_typical(
     order; memory stays O(visits) whatever n is.  Recent enumerations are
     cached per (source, n, epsilon); exceeding the visit budget raises.
     """
-    key = (src.p, int(n), float(epsilon))
+    epsilon = _window(epsilon)
+    key = (src.p, int(n), epsilon)
     cached = _TYPICAL_CACHE.get(key)
     if cached is not None and cached[2] <= budget:
         _TYPICAL_CACHE.move_to_end(key)
@@ -359,7 +371,7 @@ def enumerate_typical(
         alive &= totals + remaining * min_s <= hi + 1e-9
         if depth == n:
             break
-        expanded.append(np.flatnonzero(alive))
+        expanded.append(alive.nonzero()[0])
         visits += expanded[-1].size * symbols.size
         if visits <= budget:  # never allocate a level the budget does not cover
             totals = (totals[expanded[-1], None] + steps).reshape(-1)
@@ -367,13 +379,14 @@ def enumerate_typical(
     # Child j of a level descends from node j // S of the level above
     # through symbol j % S; walk the leaves back to the root.
     node = np.flatnonzero(alive & (np.abs(totals / n - src.h) <= epsilon))
-    syms = np.empty((node.size, n), dtype=np.uint8)
+    walk = np.empty((n, node.size), dtype=np.uint8)
     for depth in range(n - 1, -1, -1):
-        syms[:, depth] = symbols[node % symbols.size]
-        node = expanded[depth][node // symbols.size]
-    bits = _flat_bits(syms)
-    result = _TypicalSet((syms, bits, visits))
-    result.packed = np.packbits(bits.T, axis=1)
+        parent = node // symbols.size  # integer //, unlike %, is cheap in numpy
+        walk[depth] = symbols[node - parent * symbols.size]
+        node = expanded[depth][parent]
+    syms = np.ascontiguousarray(walk.T)
+    result = _TypicalSet((syms, _flat_bits(syms), visits))
+    result.tables = _subset_tables(walk)
     _TYPICAL_CACHE[key] = result
     if len(_TYPICAL_CACHE) > _TYPICAL_CACHE_SIZE:
         _TYPICAL_CACHE.popitem(last=False)
@@ -395,26 +408,44 @@ class HashingTrialResult:
     budget_exceeded: bool
 
 
-def _draw_nonzero_bits(rng: np.random.Generator, length: int) -> np.ndarray:
-    while True:
-        s = rng.integers(0, 2, size=length, dtype=np.uint8)
-        if s.any():
-            return s
+def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
+    """The 0/1 parity strings of r rounds on n pairs, all-zero ones redrawn, with the
+    bits (and final generator state) of one ``rng.integers(0, 2, size=L, dtype=np.uint8)``
+    call each: that call never rejects and takes bit 7 of each byte, low byte first, of
+    ceil(L/4) fresh 32-bit words, so one uint32 draw holds every string in its own chunk."""
+    chunks = [(n - k + 1) // 2 for k in range(r)]
+    bits, strings, at = [], [], 0
+    for k, chunk in enumerate(chunks):
+        while len(strings) == k:
+            if at + 4 * chunk > len(bits):  # first, and after a redraw: what is left to draw
+                size = sum(chunks[k:]) - (len(bits) - at) // 4
+                words = rng.integers(0, 2**32, size=size, dtype=np.uint32).astype("<u4", copy=False)
+                bits += (words.view(np.uint8) >> 7).tolist()
+            s = bits[at : at + 2 * (n - k)]
+            at += 4 * chunk
+            if any(s):
+                strings.append(s)
+    return strings
 
 
-def _matching(packed: np.ndarray, count: int, t_matrix: np.ndarray, parity_bits) -> np.ndarray:
-    """Indices of the candidates whose parities under every row of T equal
-    the revealed bits; ``packed`` holds the candidates eight to a byte."""
-    mismatch = np.zeros(packed.shape[1], dtype=np.uint8)
-    for row, t in zip(t_matrix.astype(bool), parity_bits):
-        predicted = np.bitwise_xor.reduce(packed[row], axis=0)
-        mismatch |= ~predicted if t else predicted
-    return np.flatnonzero(np.unpackbits(mismatch, count=count) == 0)
+def _predicted(tables: np.ndarray, masks: list[int]) -> np.ndarray:
+    """Packed parity rows: bit c of row k is masks[k] . candidate c, by nibble lookups."""
+    raw = np.frombuffer(b"".join(v.to_bytes(len(tables), "little") for v in masks), np.uint8)
+    nibbles = np.stack((raw & 15, raw >> 4), axis=-1).reshape(len(masks), -1)[:, : len(tables)]
+    return np.bitwise_xor.reduce(tables[np.arange(len(tables)), nibbles], axis=1)
 
 
-def _fallback_sequence(src: SourceDist, n: int) -> BellIndexVector:
-    best = max(range(4), key=lambda k: (src.p[k], -k))
-    return BellIndexVector((best,) * n)
+def _matching(tables: np.ndarray, count: int, t_masks: list[int], parity_bits) -> np.ndarray:
+    """Indices of the candidates whose parities under the round masks are the revealed bits."""
+    flips = -np.array(parity_bits, dtype=np.uint64)[:, None]  # all ones where a bit is 1
+    mismatch = np.bitwise_or.reduce(_predicted(tables, t_masks) ^ flips, axis=0).view(np.uint8)
+    return np.flatnonzero(np.unpackbits(mismatch, count=count, bitorder="little") == 0)
+
+
+def _parities(masks: list[int], bits: np.ndarray) -> list[int]:
+    """GF(2) products of each mask with the 0/1 flat bit string ``bits``."""
+    x = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    return [(mask & x).bit_count() & 1 for mask in masks]
 
 
 def run_hashing_trial(
@@ -437,12 +468,9 @@ def run_hashing_trial(
     rng = np.random.default_rng(seed)
     draw = rng.choice(4, size=n, p=np.asarray(src.p))
     sampled = tuple(draw.tolist())
-    s_list = [_draw_nonzero_bits(rng, 2 * (n - k)) for k in range(r)]
-    t_matrix, f_matrix = _compile_rounds(s_list, n)
-    # uint8 products wrap modulo 256, which keeps every parity exact.
+    t_masks, f_masks = _round_masks(_round_strings(rng, n, r), n)
     x0 = _flat_bits(draw)
-    parity_bits = (t_matrix @ x0) & 1
-    true_final = (f_matrix @ x0) & 1
+    parity_bits, true_final = _parities(t_masks, x0), _parities(f_masks, x0)
     typical = is_typical(sampled, src, plan.epsilon)
 
     budget_exceeded = False
@@ -454,21 +482,23 @@ def run_hashing_trial(
         budget_exceeded = True
     else:
         _, cand_bits, visits = typical_set
-        survivors = _matching(typical_set.packed, len(cand_bits), t_matrix, parity_bits)
+        survivors = _matching(typical_set.tables, len(cand_bits), t_masks, parity_bits)
 
     if survivors.size:
-        finals = (cand_bits[survivors] @ f_matrix.T) & 1
+        words = _predicted(typical_set.tables, f_masks).view(np.uint8)
+        finals = np.unpackbits(words, axis=1, bitorder="little")[:, survivors].T
         decoded_final = finals[0]
         success = bool((finals == true_final).all())
     else:
         # Nothing matched (or nothing was typical): decode an arbitrary
         # sequence, which only counts as success by coincidence.
-        decoded_final = (f_matrix @ _fallback_sequence(src, n).to_bits()) & 1
-        success = bool((decoded_final == true_final).all()) and not budget_exceeded
+        best = max(range(4), key=lambda k: (src.p[k], -k))
+        decoded_final = _parities(f_masks, BellIndexVector((best,) * n).to_bits())
+        success = decoded_final == true_final and not budget_exceeded
 
     return HashingTrialResult(
         sampled=sampled,
-        parity_bits=tuple(parity_bits.tolist()),
+        parity_bits=tuple(parity_bits),
         true_final=BellIndexVector.from_bits(true_final),
         decoded_final=BellIndexVector.from_bits(decoded_final),
         success=success,
@@ -517,10 +547,9 @@ def typicality_miss_estimate(
     trials = int(trials)
     if trials < 1:
         raise DimensionMismatchError(f"need at least one trial, got {trials}")
+    epsilon = _window(epsilon)
     rng = np.random.default_rng(seed)
-    surprisal = np.array(
-        [s if not math.isinf(s) else np.inf for s in src.surprisals()]
-    )
+    surprisal = np.array(src.surprisals())
     draws = rng.choice(4, size=(trials, int(n)), p=np.asarray(src.p))
     means = surprisal[draws].sum(axis=1) / float(n)
     misses = int((np.abs(means - src.h) > epsilon).sum())
@@ -550,8 +579,8 @@ def net_rate(copies_per_pair: int, entropy: float) -> float:
     if n < 1:
         raise DimensionMismatchError(f"copies per pair must be >= 1, got {n}")
     h = float(entropy)
+    if not (math.isfinite(h) and h >= 0.0):
+        raise InvalidDistributionError(f"entropy must be finite and non-negative, got {h}")
     if h >= 1.0:
         raise EntropyTooHighError(f"entropy {h} >= 1 bit gives rate zero")
-    if h < 0.0:
-        raise InvalidDistributionError(f"entropy must be non-negative, got {h}")
     return (1.0 - h) / (2.0 * n)

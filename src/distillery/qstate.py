@@ -554,17 +554,18 @@ def format_real(x: float, sig: int = 17) -> str:
 
 
 def _json_loads(text: str):
-    """Parse a state or channel document.  ``format_real`` writes -0.0 as
-    ``-0``, which must read back as -0.0, not as the integer 0."""
+    """Parse a state or channel document, every number as a float: ``-0``, as
+    ``format_real`` writes -0.0, keeps its sign, and an overlong integer reads
+    as inf, which the readers reject."""
     import json
 
-    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+    return json.loads(text, parse_int=float)
 
 
 def _integer(value, error: type[Exception]) -> int:
-    """A dimension: an integer, or a float with an integer value (``-0``
-    reads as -0.0); anything else, booleans, strings and non-finite numbers
-    included, raises ``error``."""
+    """A dimension: an integer, or a float with an integer value (JSON
+    numbers read as floats); anything else, booleans, strings and
+    non-finite numbers included, raises ``error``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):

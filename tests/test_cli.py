@@ -5,8 +5,10 @@ back and compared against the library they wrap.
 """
 
 import hashlib
+import importlib.util
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +168,23 @@ def test_non_finite_inputs_fail_with_one_json_line(runner):
     assert message == "non-finite probability in (0.5, inf, -inf, 0.5)"
 
 
+def test_hashing_simulate_matches_the_pinned_refs(runner, tmp_path):
+    # the benchmark's hashing-sweep pins one trials-CSV digest per grid point;
+    # 16 points cover every trial count, and the warm-up point its own ref
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    refs = json.loads(workloads.HASHING_REFS.read_text())
+    cases = [(workloads.HASHING_WARMUP, refs["warmup_csv_sha256_16"])]
+    for k in range(0, workloads.HASHING_GRID, 65):
+        cases.append((workloads.hashing_point(k), refs["csv_sha256_16"][k]))
+    out = tmp_path / "trials.csv"
+    for point, ref in cases:
+        invoke_ok(runner, workloads.hashing_args(*point, out))
+        assert workloads.csv_digest(out.read_text()) == ref, point
+
+
 def test_hashing_simulate_summary(runner, tmp_path):
     csv_path = tmp_path / "trials.csv"
     args = [
@@ -267,12 +286,18 @@ def test_malformed_state_files(runner, tmp_path):
     unphysical.write_text(json.dumps(doc))
     invoke_fail(runner, ["check", "--in", str(unphysical)], "invalid_state")
 
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"dim_a":1,"dim_b":1,"matrix":[[[' + "1" * 5000 + ",0]]]}")
+    message = invoke_one_error_line(runner, ["check", "--in", str(huge)], "invalid_state")
+    assert message == "matrix has a non-finite cell"
+
 
 def test_state_dims_must_be_integers(runner, tmp_path):
     # non-finite or fractional dims once ended in a traceback or read as 1
     bad = tmp_path / "bad.json"
     good = qstate.state_to_json(bell.werner(0.7))
-    for value in ("Infinity", "-Infinity", "NaN", "1e400", "1.9", "true", '"2"'):
+    # an integer too long for Python's int parser once failed as invalid_argument
+    for value in ("Infinity", "-Infinity", "NaN", "1e400", "1.9", "true", '"2"', "1" * 5000):
         bad.write_text(good.replace('"dim_a":2', f'"dim_a":{value}'))
         result = runner.invoke(main, ["check", "--in", str(bad)])
         assert result.exit_code == 1 and result.stdout == ""

@@ -3,11 +3,11 @@
 The typical-set enumerator is checked against exhaustive membership testing;
 the round map against hand-worked instances, the parity contract, and GF(2)
 linearity; the decoder against direct Monte Carlo.  The library's compiled
-rounds, bit-sliced parity match and level-wise enumeration are checked
-against the slow paths they replaced, kept here as reference
-implementations: the per-vector round, the basis-vector parity and
-final-state matrices, the round-by-round replay and the recursive
-depth-first enumerator.
+rounds, one-call round strings, nibble-table parity match and level-wise
+enumeration are checked against the slow paths they replaced, kept here as
+reference implementations: the per-vector round, the basis-vector parity and
+final-state matrices, one generator call per round string, the byte-sliced
+matcher, the round-by-round replay and the recursive depth-first enumerator.
 """
 
 import dataclasses
@@ -47,6 +47,31 @@ def draw_nonzero_bits(rng, length):
         s = rng.integers(0, 2, size=length, dtype=np.uint8)
         if s.any():
             return s
+
+
+def ref_matching(packed, count, t_matrix, parity_bits):
+    """Byte-sliced match: ``packed`` holds the flat-bit rows of the candidates
+    eight to a byte; one XOR-reduce of the selected rows per round."""
+    mismatch = np.zeros(packed.shape[1], dtype=np.uint8)
+    for row, t in zip(t_matrix.astype(bool), parity_bits):
+        predicted = np.bitwise_xor.reduce(packed[row], axis=0)
+        mismatch |= ~predicted if t else predicted
+    return np.flatnonzero(np.unpackbits(mismatch, count=count) == 0)
+
+
+def ref_subset_tables(bits):
+    """tables[g, v]: the XOR of the packed flat-bit rows 4g + b over the bits b of v."""
+    count, width = bits.shape
+    words = -(-count // 64)
+    rows = np.zeros((width + -width % 4, 8 * words), dtype=np.uint8)
+    rows[:width, : -(-count // 8)] = np.packbits(bits.T, axis=1, bitorder="little")
+    tables = np.zeros((rows.shape[0] // 4, 16, words), dtype=np.uint64)
+    for g in range(tables.shape[0]):
+        for v in range(16):
+            for b in range(4):
+                if v >> b & 1:
+                    tables[g, v] ^= rows[4 * g + b].view(np.uint64)
+    return tables
 
 
 def ref_round_update(s, x):
@@ -309,6 +334,63 @@ def test_compile_rounds_matches_reference():
         assert np.array_equal(f_matrix, ref_final_matrix(s_list, n))
 
 
+def test_round_strings_match_sequential_draws():
+    # one bulk draw gives the strings, and leaves the generator in the state,
+    # of one draw per round with all-zero strings redrawn
+    src = SourceDist(SKEWED)
+    redraws = 0
+    for n in range(4, 41):
+        for r in sorted({1, n // 2, n - 1}):
+            for seed in range(12):
+                rng = np.random.default_rng([68, n, r, seed])
+                ref = np.random.default_rng([68, n, r, seed])
+                for g in (rng, ref):  # as a trial draws, plus an odd number of words
+                    g.choice(4, size=n, p=np.asarray(src.p))
+                    g.integers(0, 2**32, size=seed % 3, dtype=np.uint32)
+                want = []
+                for k in range(r):
+                    while True:
+                        s = ref.integers(0, 2, size=2 * (n - k), dtype=np.uint8)
+                        if s.any():
+                            break
+                        redraws += 1
+                    want.append(s.tolist())
+                assert hashing._round_strings(rng, n, r) == want
+                assert rng.bit_generator.state == ref.bit_generator.state
+    assert redraws > 0
+
+
+def test_nibble_matcher_matches_byte_sliced_reference():
+    sources = ((SourceDist(SKEWED), None), (SourceDist((0.95, 0.05, 0.0, 0.0)), 0.15))
+    cases = [(sources[0], n) for n in (4, 8, 16, 24)] + [(sources[1], 40)]  # 2n > 64
+    survivors = 0
+    for (src, epsilon), n in cases:
+        plan = plan_yield(src, n, epsilon=epsilon)
+        typical_set = enumerate_typical(src, n, plan.epsilon)
+        _, bits, _ = typical_set
+        packed = np.packbits(bits.T, axis=1)
+        rng = np.random.default_rng([69, n])
+        for trial in range(20):
+            s_list = hashing._round_strings(rng, n, plan.r)
+            t_masks, f_masks = hashing._round_masks(s_list, n)
+            t_matrix, f_matrix = hashing._compile_rounds([np.array(s) for s in s_list], n)
+            # parities of every candidate under each mask
+            for masks, matrix in ((t_masks, t_matrix), (f_masks, f_matrix)):
+                words = hashing._predicted(typical_set.tables, masks)
+                got = np.unpackbits(words.view(np.uint8), axis=1, count=len(bits), bitorder="little")
+                assert np.array_equal(got, (matrix @ bits.T) & 1)
+            # revealed bits of a candidate (so something survives) or at random
+            if len(bits) and trial % 2 == 0:
+                parity_bits = ((t_matrix @ bits[rng.integers(len(bits))]) & 1).tolist()
+            else:
+                parity_bits = rng.integers(0, 2, size=plan.r).tolist()
+            got = hashing._matching(typical_set.tables, len(bits), t_masks, parity_bits)
+            want = ref_matching(packed, len(bits), t_matrix, parity_bits)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            survivors += got.size
+    assert survivors > 0
+
+
 def test_plan_yield_examples():
     # zero-entropy source, n = 10: r = floor(10 * 1 / 2) = 5 rounds, m = 5
     pure = SourceDist((1.0, 0.0, 0.0, 0.0))
@@ -340,6 +422,20 @@ def test_plan_yield_examples():
             plan_yield(src, 16, epsilon=bad)
     with pytest.raises(EntropyTooHighError):
         plan_yield(SourceDist((0.25,) * 4), 16)  # two bits of entropy
+
+
+def test_entry_points_reject_bad_epsilon():
+    # nan once enumerated an empty set (and cached it) and estimated no
+    # misses; inf enumerated all 4^n strings
+    src = SourceDist(SKEWED)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.1):
+        with pytest.raises(InvalidDistributionError, match="finite and positive"):
+            enumerate_typical(src, 8, bad)
+        with pytest.raises(InvalidDistributionError, match="finite and positive"):
+            typicality_miss_estimate(src, 8, bad, trials=100)
+        with pytest.raises(InvalidDistributionError, match="finite and positive"):
+            is_typical(BellIndexVector((0,) * 8), src, bad)
+    assert not any(math.isnan(key[2]) for key in hashing._TYPICAL_CACHE)
 
 
 def test_is_typical_examples():
@@ -420,14 +516,21 @@ def test_enumerate_typical_matches_reference():
         SourceDist((0.5, 0.5, 0.0, 0.0)),  # zero-probability symbols are skipped
         SourceDist((0.0, 0.0, 1.0, 0.0)),
     ]
-    for src in sources:
-        for n, epsilon in ((1, 0.3), (5, 0.1), (9, 0.05), (8, 0.2)):
-            symbols, bits, visits = enumerate_typical(src, n, epsilon)
-            ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
-            assert symbols.dtype == ref_symbols.dtype and bits.dtype == ref_bits.dtype
-            assert np.array_equal(symbols, ref_symbols)  # same strings, same order
-            assert np.array_equal(bits, ref_bits)
-            assert visits == ref_visits
+    cases = [(src, n, eps) for src in sources for n, eps in ((1, 0.3), (5, 0.1), (9, 0.05), (8, 0.2))]
+    for src in (SourceDist(SKEWED), SourceDist((0.92,) + ((1 - 0.92) / 3,) * 3)):
+        cases.append((src, 24, plan_yield(src, 24).epsilon))
+    for src, n, epsilon in cases:
+        typical_set = enumerate_typical(src, n, epsilon)
+        symbols, bits, visits = typical_set
+        ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
+        assert symbols.dtype == ref_symbols.dtype and bits.dtype == ref_bits.dtype
+        assert symbols.shape == ref_symbols.shape and bits.shape == ref_bits.shape
+        # same strings, same order
+        assert symbols.tobytes() == ref_symbols.tobytes()
+        assert bits.tobytes() == ref_bits.tobytes()
+        assert visits == ref_visits
+        assert np.array_equal(typical_set.tables, ref_subset_tables(ref_bits))
+        if n < 24:
             # the budget trips exactly when the whole tree does not fit in it
             assert enumerate_typical(src, n, epsilon, budget=visits)[2] == visits
             for budget in (visits - 1, visits // 3, 0):
@@ -603,8 +706,9 @@ def test_net_rate():
     assert net_rate(2, 0.0) == 0.25
     with pytest.raises(EntropyTooHighError):
         net_rate(2, 1.0)
-    with pytest.raises(InvalidDistributionError):
-        net_rate(2, -0.1)
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDistributionError):
+            net_rate(2, bad)
     with pytest.raises(DimensionMismatchError):
         net_rate(0, 0.5)
 

