@@ -240,7 +240,7 @@ def twirl(
             divisor=12.0,
             adjoints=_TWIRL_ADJOINTS,
         )
-        return image.build(DensityOperator, rho.factors)
+        return image.build(DensityOperator, rho.factors, capped=(rho.dim_a, rho.dim_b))
     if mode == "sampled":
         rng = np.random.default_rng(0 if seed is None else seed)
         v = _TWIRL_UNITARIES[int(rng.integers(0, 12))]
@@ -375,7 +375,7 @@ def _project_stack(rho: DensityOperator, pi_a: np.ndarray, pi_b: np.ndarray):
     probability = np.trace(branch.matrix, axis1=-2, axis2=-1).real
     nonzero = probability > ZERO_PROBABILITY_TOL
     kept = nonzero & (probability <= 1.0 + COMPLETENESS_TOL)
-    state = _quotient_image(branch.matrix, branch.floor, np.where(kept, probability, 1.0))
+    state = _quotient_image(branch, np.where(kept, probability, 1.0))
     certified = (
         range_a
         & range_b

@@ -8,7 +8,7 @@ printing a single-line JSON object with an ``error_code`` field on stderr.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import json
 import sys
 
@@ -79,24 +79,41 @@ def _fail(code: str, message: str) -> None:
     sys.exit(1)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except DistilleryError as exc:
-            _fail(exc.code, str(exc))
-        except ValueError as exc:
-            _fail("invalid_argument", str(exc))
-
-    return wrapper
-
-
 def _load_state(path: str) -> qstate.DensityOperator:
     return qstate.state_from_json(_read_file(path))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, where every failure is reported: a library error, a
+    bad value and click's usage errors (an unknown option, a missing or
+    malformed value) each print one JSON line and exit 1.  The group parses
+    in ``make_context``; its subcommands parse and run inside ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        with _failures():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _failures():
+            return super().invoke(ctx)
+
+
+@contextlib.contextmanager
+def _failures():
+    try:
+        yield
+    except DistilleryError as exc:
+        _fail(exc.code, str(exc))
+    except ValueError as exc:
+        _fail("invalid_argument", str(exc))
+    except click.UsageError as exc:
+        # click >= 8.2 raises one for a group run bare, to print its help
+        if type(exc).__name__ != "NoArgsIsHelpError":
+            _fail("invalid_argument", exc.format_message())
+        raise
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact two-qubit distillation toolkit: states, twirls, recurrence, hashing."""
 
@@ -108,7 +125,6 @@ def main() -> None:
 @click.option("--d", "dim", type=int, default=2, help="Local dimension for psiplus.")
 @click.option("--in", "path", type=str, default=None, help="State file to round-trip.")
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@_guarded
 def cmd_state(kind, fidelity, label, dim, path, out) -> None:
     """Emit a state as JSON: bell, werner, psiplus, or a re-serialized file."""
     if kind == "bell":
@@ -129,7 +145,6 @@ def cmd_state(kind, fidelity, label, dim, path, out) -> None:
 @main.command("check")
 @click.option("--in", "path", type=str, required=True, help="State file to inspect.")
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
-@_guarded
 def cmd_check(path, out) -> None:
     """Entanglement diagnostics; two-qubit states also get fraction and verdict."""
     rho = _load_state(path)
@@ -151,7 +166,6 @@ def cmd_check(path, out) -> None:
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 @click.option("--mode", type=click.Choice(["exact", "sampled"]), default="exact")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_guarded
 def cmd_twirl(path, out, mode, seed) -> None:
     """Twirl a two-qubit state to Werner form (or sample one protocol member)."""
     rho = _load_state(path)
@@ -163,7 +177,6 @@ def cmd_twirl(path, out, mode, seed) -> None:
 @click.option("--F-target", "f_target", type=float, required=True)
 @click.option("--max-steps", type=int, default=200, show_default=True)
 @click.option("--out", type=str, default=None, help="CSV path (default stdout).")
-@_guarded
 def cmd_recurrence(f0, f_target, max_steps, out) -> None:
     """Closed-form recurrence schedule as CSV: step,F,p_step,p_cum_lower_bound."""
     trace = recurrence.iterate_to_target(f0, f_target, max_steps=max_steps)
@@ -203,7 +216,6 @@ def cmd_hashing() -> None:
     help="json: summary document; csv: per-trial table.",
 )
 @click.option("--trials-out", type=str, default=None, help="Also write the per-trial CSV here.")
-@_guarded
 def cmd_hashing_simulate(
     n, p0, p1, p2, p3, epsilon, rounds, trials, seed, budget, out_format, trials_out
 ) -> None:
@@ -262,7 +274,6 @@ def cmd_hashing_simulate(
 @click.option("--d", "dim", type=int, required=True)
 @click.option("--omega", type=float, required=True)
 @click.option("--verify", is_flag=True, help="Also simulate the channel exactly.")
-@_guarded
 def cmd_carve(dim, omega, verify) -> None:
     """Carving report for the d x d maximally entangled state."""
     report = locc.carve_pairs(dim, omega)
@@ -287,7 +298,6 @@ def cmd_carve(dim, omega, verify) -> None:
 @click.option("--in", "path", type=str, required=True)
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@_guarded
 def cmd_search_projection(path, trials, seed) -> None:
     """Randomized local rank-2 projection search; reports the best witness."""
     rho = _load_state(path)

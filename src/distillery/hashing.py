@@ -343,8 +343,11 @@ def enumerate_typical(
     order; memory stays O(visits) whatever n is.  Recent enumerations are
     cached per (source, n, epsilon); exceeding the visit budget raises.
     """
+    n = int(n)
+    if n < 1 or budget < 0:
+        raise DimensionMismatchError(f"need n >= 1 and budget >= 0, got n={n}, budget={budget}")
     epsilon = _window(epsilon)
-    key = (src.p, int(n), epsilon)
+    key = (src.p, n, epsilon)
     cached = _TYPICAL_CACHE.get(key)
     if cached is not None and cached[2] <= budget:
         _TYPICAL_CACHE.move_to_end(key)
@@ -362,7 +365,7 @@ def enumerate_typical(
     for depth in range(n + 1):
         if visits > budget:
             raise DecoderBudgetError(
-                f"typical-set enumeration exceeded {budget} visits", visits=max(budget, 0) + 1
+                f"typical-set enumeration exceeded {budget} visits", visits=budget + 1
             )
         remaining = n - depth
         # Prune nodes that cannot land inside the window (small slack so
@@ -544,13 +547,13 @@ def typicality_miss_estimate(
     src: SourceDist, n: int, epsilon: float, trials: int, seed: int = 0
 ) -> MissEstimate:
     """Sample strings from the source and count those outside the window."""
-    trials = int(trials)
-    if trials < 1:
-        raise DimensionMismatchError(f"need at least one trial, got {trials}")
+    trials, n = int(trials), int(n)
+    if trials < 1 or n < 1:
+        raise DimensionMismatchError(f"need n >= 1 and a trial, got n={n}, trials={trials}")
     epsilon = _window(epsilon)
     rng = np.random.default_rng(seed)
     surprisal = np.array(src.surprisals())
-    draws = rng.choice(4, size=(trials, int(n)), p=np.asarray(src.p))
+    draws = rng.choice(4, size=(trials, n), p=np.asarray(src.p))
     means = surprisal[draws].sum(axis=1) / float(n)
     misses = int((np.abs(means - src.h) > epsilon).sum())
     return _wilson_estimate(misses, trials)

@@ -394,7 +394,7 @@ def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> Selec
         raise ZeroProbabilityError(
             f"selective branch has probability {probability:.3e} <= {ZERO_PROBABILITY_TOL}"
         )
-    branch = image.build(UnnormalizedOperator, op.out_factors)
+    branch = image.build(UnnormalizedOperator, op.out_factors, capped=(rho.dim_a, rho.dim_b))
     return SelectiveOutcome(branch, probability)
 
 

@@ -8,17 +8,18 @@ this convention the maximally entangled state on d = 2^M equals M copies of
 the two-qubit maximally entangled state, with no reshuffling.
 
 All operations are pure functions of immutable inputs; matrices handed to a
-constructor are copied and frozen.  Eigendecompositions always symmetrize
-their argument first, so tiny anti-Hermitian residue cannot leak into
-spectra.
+constructor are copied and frozen, those the library computes frozen in place.
+Eigendecompositions always symmetrize their argument first, so tiny
+anti-Hermitian residue cannot leak into spectra.
 
 Validation happens once, where data enters: the public constructors run the
-full spectrum check.  Every operator keeps a lower bound on the smallest
-eigenvalue of its Hermitian part (its floor).  An operation that builds a new
-operator from validated ones passes on a rigorous floor for the result,
-including a bound on its own rounding error; the result runs the dense
-spectrum only when that floor is below half of ``EIGENVALUE_FLOOR``, so the
-dense check still makes, and words, every decision the floor cannot.
+full Hermiticity and spectrum checks.  Every operator keeps a lower bound on
+the smallest eigenvalue of its Hermitian part (its floor) and an upper bound
+on its Hermiticity residue max|M - M^dag|.  An operation that builds a new
+operator from validated ones passes on rigorous bounds for the result, its
+own rounding included; the result runs the dense residue or spectrum only
+when its bound misses half the tolerance, so the dense checks still make, and
+word, every decision the certificates cannot.
 """
 
 from __future__ import annotations
@@ -118,30 +119,42 @@ def sym(matrix: np.ndarray) -> np.ndarray:
     return (matrix + matrix.conj().swapaxes(-1, -2)) / 2
 
 
-def _validate_operator(
-    matrix: np.ndarray, dim: int, *, unit_trace: bool, floor: float | None = None
-) -> float:
-    """Check shape, Hermiticity, trace and positivity; return the eigenvalue floor.
+def _herm_residue(matrix: np.ndarray):
+    """``np.abs(matrix - matrix.conj().T).max()``, bit for bit, computed in
+    place on one contiguous copy of M^T."""
+    diff = matrix.T.copy()
+    np.conjugate(diff, out=diff)
+    np.subtract(matrix, diff, out=diff)
+    return np.abs(diff).max()
 
-    ``floor`` is a lower bound on the smallest eigenvalue of ``sym(matrix)``
-    carried over from the operation that built the matrix.  At or above half
-    of ``EIGENVALUE_FLOOR`` it stands in for the dense spectrum; otherwise
-    ``eigvalsh`` runs, and its minimum less a rounding margin is the floor.
+
+def _validate_operator(
+    matrix: np.ndarray, dim: int, *, unit_trace: bool, floor=None, herm=None
+) -> tuple[float, float]:
+    """Check shape, Hermiticity, trace and positivity; return (floor, herm).
+
+    ``floor`` and ``herm``, carried over from the operation that built the
+    matrix, bound the smallest eigenvalue of ``sym(matrix)`` from below and
+    max|M - M^dag| from above.  ``herm`` at most half of ``HERMITICITY_TOL``
+    stands in for the dense residue, ``floor`` at least half of
+    ``EIGENVALUE_FLOOR`` for ``eigvalsh``.  What the dense checks compute is
+    returned instead: the residue, and the minimum less a rounding margin.
     """
     if matrix.shape != (dim, dim):
         raise InvalidStateError(
             f"matrix shape {matrix.shape} does not match declared dimension {dim}"
         )
-    herm_residue = np.abs(matrix - matrix.conj().T).max()
-    if herm_residue > HERMITICITY_TOL:
-        raise InvalidStateError(f"matrix is not Hermitian (residue {herm_residue:.3e})")
+    if herm is None or not herm <= _CERTIFICATE_SLACK * HERMITICITY_TOL:
+        herm = _herm_residue(matrix)
+        if herm > HERMITICITY_TOL:
+            raise InvalidStateError(f"matrix is not Hermitian (residue {herm:.3e})")
     tr = matrix.trace()
     if unit_trace and abs(tr - 1.0) > TRACE_TOL:
         raise InvalidStateError(f"trace {tr} is not 1 within {TRACE_TOL}")
     if not unit_trace and tr.real <= 0.0:
         raise InvalidStateError(f"trace {tr} is not positive")
     if floor is not None and floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR:
-        return floor
+        return floor, herm
     eigenvalues = np.linalg.eigvalsh(sym(matrix))
     if eigenvalues.min() < EIGENVALUE_FLOOR:
         raise InvalidStateError(
@@ -149,42 +162,48 @@ def _validate_operator(
         )
     lowest, highest = float(eigenvalues[0]), float(eigenvalues[-1])
     # A backward-stable eigensolver is off by a modest multiple of dim * eps * ||sym(matrix)||.
-    return lowest - 2 * (dim + 1) * _EPS * max(-lowest, highest)
+    return lowest - 2 * (dim + 1) * _EPS * max(-lowest, highest), herm
 
 
 def _init_operator(op, *, unit_trace: bool) -> None:
     """Shared ``__post_init__`` of the two operator types.
 
     Normalizes and freezes the fields, records ``dim_a``, ``dim_b`` and
-    ``dim`` once, validates, and keeps the eigenvalue floor in ``_floor``.
-    Only ``_Image.build`` sets ``_floor`` before this runs.
+    ``dim`` once, validates, and keeps the bounds in ``_floor`` and ``_herm``.
+    Only ``_Image.build`` sets them (and ``_capped``) before this runs.
     """
     factors = _normalize_factors(op.factors)
     object.__setattr__(op, "factors", factors)
-    object.__setattr__(op, "matrix", _frozen_matrix(op.matrix))
+    floor, herm = op.__dict__.get("_floor"), op.__dict__.get("_herm")
+    if floor is None:
+        object.__setattr__(op, "matrix", _frozen_matrix(op.matrix))
     dim_a = math.prod(a for a, _ in factors)
     dim_b = math.prod(b for _, b in factors)
     op.__dict__.update(dim_a=dim_a, dim_b=dim_b, dim=dim_a * dim_b)
-    _check_cap(dim_a, dim_b)
-    floor = _validate_operator(
-        op.matrix, dim_a * dim_b, unit_trace=unit_trace, floor=op.__dict__.get("_floor")
+    if op.__dict__.pop("_capped", None) != (dim_a, dim_b):
+        _check_cap(dim_a, dim_b)
+    op.__dict__["_floor"], op.__dict__["_herm"] = _validate_operator(
+        op.matrix, dim_a * dim_b, unit_trace=unit_trace, floor=floor, herm=herm
     )
-    op.__dict__["_floor"] = floor
 
 
 class _Image(NamedTuple):
-    """A matrix the library computed, with a floor proved for the smallest
-    eigenvalue of its Hermitian part, rounding included."""
+    """A matrix the library just computed, with bounds proved on the smallest
+    eigenvalue of its Hermitian part and on max|M - M^dag|, rounding included."""
 
     matrix: np.ndarray
     floor: float
+    herm: float
 
-    def build(self, cls, factors):
-        """The operator of type ``cls``.  Runs the class's own
-        ``__post_init__``, so every check except the dense spectrum still runs,
-        and that one runs too when the floor is not certified."""
+    def build(self, cls, factors, capped=None):
+        """The operator of type ``cls`` on the matrix, frozen in place, through
+        the class's own ``__post_init__``: the dense checks run only where a
+        bound is not certified, and the cap only unless the per-side
+        dimensions are ``capped``, ones that passed it already (the input's)."""
+        self.matrix.setflags(write=False)
         op = cls.__new__(cls)
-        op.__dict__.update(factors=factors, matrix=self.matrix, _floor=self.floor)
+        op.__dict__.update(factors=factors, matrix=self.matrix, _capped=capped)
+        op.__dict__.update(_floor=self.floor, _herm=self.herm)
         op.__post_init__()
         return op
 
@@ -198,20 +217,6 @@ def _frobenius_bound(dim: int, floor: float, trace=1.0 + TRACE_TOL):
     anti-Hermitian part is at most HERMITICITY_TOL / 2.
     """
     return trace + dim * (2.0 * max(-floor, 0.0) + HERMITICITY_TOL / 2)
-
-
-def _kraus_floor(rho, *, norm_sq: float, frobenius_sq: float, terms: int) -> float:
-    """Floor of sum_k K_k rho K_k^dag over ``terms`` products, optionally divided.
-
-    ``norm_sq`` bounds sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds
-    sum_k ||K_k||_F^2, both after any division.  If sym(rho) >= f then the
-    exact result is at least min(f, 0) * norm_sq.  Each product rounds by at
-    most 2 (n + 2) eps |K_k| |rho| |K_k^dag| entrywise (complex dot products
-    of length n), and the sum and the division add terms + 1 roundings.
-    """
-    steps = 2 * (rho.dim + 2) + terms + 1
-    rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho.dim, rho._floor)
-    return min(rho._floor, 0.0) * norm_sq - rounding
 
 
 def _kraus_image(
@@ -229,10 +234,18 @@ def _kraus_image(
     The products are formed in one stacked call.  A single product is not
     summed; several are reduced from 0.0, in order: the same additions as
     Python's ``sum``, signed zeros included.  Leading axes hold independent
-    sums (one per trial, say) that share the floor, so ``norm_sq`` and
+    sums (one per trial, say) that share the bounds, so ``norm_sq`` and
     ``frobenius_sq`` must bound each of them.  ``adjoints`` may hold the
     stacked K_k^dag of a constant stack, computed once as
-    ``K.conj().swapaxes(-1, -2)``.  The floor is ``_kraus_floor``'s.
+    ``K.conj().swapaxes(-1, -2)``.
+
+    ``norm_sq`` bounds sum_k ||K_k||_2^2 and ``frobenius_sq`` bounds
+    sum_k ||K_k||_F^2, both after any division.  If sym(rho) >= f then the
+    exact result is at least min(f, 0) * norm_sq, and no entry of
+    sum_k K_k (rho - rho^dag) K_k^dag exceeds norm_sq * n * max|rho - rho^dag|.
+    Each product rounds by at most 2 (n + 2) eps |K_k| |rho| |K_k^dag|
+    entrywise (complex dot products of length n), and the sum and the division
+    add terms + 1 roundings: at most ``rounding`` in all, per entry and in norm.
     """
     ops = np.asarray(ops)
     if adjoints is None:
@@ -245,62 +258,65 @@ def _kraus_image(
         out = np.add.reduce(products, axis=-3, initial=0.0)
     if divisor is not None:
         out = out / divisor
-    floor = _kraus_floor(rho, norm_sq=norm_sq, frobenius_sq=frobenius_sq, terms=terms)
-    return _Image(out, floor)
+    steps = 2 * (rho.dim + 2) + terms + 1
+    rounding = steps * _EPS * frobenius_sq * _frobenius_bound(rho.dim, rho._floor)
+    floor = min(rho._floor, 0.0) * norm_sq - rounding
+    return _Image(out, floor, norm_sq * rho.dim * rho._herm + 2 * rounding)
 
 
-def _quotient_image(matrix: np.ndarray, floor: float, weight) -> _Image:
-    """matrix / weight for an operator with eigenvalue floor ``floor`` and real
-    trace ``weight``, or for a stack of them sharing the floor, with an array
-    of weights.  Dividing scales the spectrum by 1 / weight and rounds each
-    entry once."""
+def _quotient_image(image: _Image, weight) -> _Image:
+    """The image divided by its real trace ``weight``, or a stack of images
+    sharing their bounds divided by an array of weights.  Dividing scales
+    the spectrum and the residue by 1 / weight and rounds each entry once,
+    by at most eps times the Frobenius norm."""
     divisor = weight[..., None, None] if isinstance(weight, np.ndarray) else weight
-    frobenius = _frobenius_bound(matrix.shape[-1], floor, weight)
-    return _Image(matrix / divisor, (min(floor, 0.0) - _EPS * frobenius) / weight)
+    rounding = _EPS * _frobenius_bound(image.matrix.shape[-1], image.floor, weight)
+    floor = (min(image.floor, 0.0) - rounding) / weight
+    return _Image(image.matrix / divisor, floor, (image.herm + 2 * rounding) / weight)
 
 
 def _certified(image: _Image, dims: tuple[int, int], *, unit_trace: bool) -> np.ndarray:
     """For each matrix of a stack, whether building it as an operator on local
-    dimensions ``dims`` passes every check on the floor alone: the cap, the
-    Hermiticity and trace checks of ``_validate_operator``, and a certified
-    floor.  A matrix that is not certified is built the ordinary way, which
-    decides and words the outcome; NaN residues are never certified."""
-    m = image.matrix
-    herm_residue = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    tr = np.trace(m, axis1=-2, axis2=-1)
+    dimensions ``dims`` passes every check on its bounds alone: the cap, the
+    trace check of ``_validate_operator``, and certified Hermiticity and
+    floor bounds.  A matrix that is not certified is built the ordinary way,
+    which decides and words the outcome; NaN bounds never certify."""
+    tr = np.trace(image.matrix, axis1=-2, axis2=-1)
     trace_ok = np.abs(tr - 1.0) <= TRACE_TOL if unit_trace else tr.real > 0.0
+    herm_ok = image.herm <= _CERTIFICATE_SLACK * HERMITICITY_TOL
     floor_ok = image.floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR
-    cap_ok = max(dims) <= max_side_dim()
-    return (herm_residue <= HERMITICITY_TOL) & trace_ok & floor_ok & cap_ok
+    return herm_ok & trace_ok & floor_ok & (max(dims) <= max_side_dim())
 
 
 def _outer_image(vectors) -> _Image:
     """sum_k v_k v_k^dag over a sequence of vectors: a single product is not
-    summed, several are summed in order from 0.  Each v v^dag is positive and
-    each of its complex entries rounds by at most 2 eps |v_i| |v_j|; the sum
-    adds one rounding a term.  Twice the computed trace bounds
-    sum_k ||v_k||^2."""
-    if len(vectors) == 1:
-        out = np.outer(vectors[0], vectors[0].conj())
-    else:
-        out = sum(np.outer(v, v.conj()) for v in vectors)
-    weight = 2 * float(np.trace(out).real)
-    return _Image(out, -(len(vectors) + 2) * _EPS * weight)
+    summed, several are added in place, in order: the additions of Python's
+    ``sum`` from 0, signed zeros included.  The exact sum is Hermitian and
+    positive; each entry of a term rounds by at most 2 eps |v_i| |v_j| and
+    the sum adds one rounding a term.  Twice the trace bounds sum ||v_k||^2."""
+    out = np.outer(vectors[0], vectors[0].conj())
+    if len(vectors) > 1:
+        out += 0.0  # as sum's 0 + v_0 v_0^dag, which turns -0.0 into 0.0
+        term = np.empty_like(out)
+        for v in vectors[1:]:
+            out += np.outer(v, v.conj(), out=term)
+    rounding = (len(vectors) + 2) * _EPS * 2 * float(np.trace(out).real)
+    return _Image(out, -rounding, 2 * rounding)
 
 
 def _weighted_outer_image(columns: np.ndarray, weights: np.ndarray, norm_sq: float) -> _Image:
     """sum_i w_i c_i c_i^dag over the columns c_i of C, formed as (C w) C^dag.
 
-    ``norm_sq`` bounds ||C||_2^2, so the exact result is at least
-    min(w, 0) * norm_sq.  Scaling the columns rounds once and each length-n
-    complex dot product by at most 2 (n + 2) eps, against the Frobenius norm
-    of |C| |w| |C|^dag, which is at most max|w| * min(C.shape) * norm_sq.
+    ``norm_sq`` bounds ||C||_2^2, so for real w the exact result is Hermitian
+    and at least min(w, 0) * norm_sq.  Scaling the columns rounds once and each
+    length-n complex dot product by at most 2 (n + 2) eps, against the Frobenius
+    norm of |C| |w| |C|^dag, which is at most max|w| * min(C.shape) * norm_sq.
     """
     out = (columns * weights) @ columns.conj().T
     n = len(weights)
     scale = float(np.abs(weights).max()) * min(columns.shape) * norm_sq
-    floor = min(float(weights.min()), 0.0) * norm_sq - (2 * (n + 2) + 1) * _EPS * scale
-    return _Image(out, floor)
+    rounding = (2 * (n + 2) + 1) * _EPS * scale
+    return _Image(out, min(float(weights.min()), 0.0) * norm_sq - rounding, 2 * rounding)
 
 
 def _spectral_norm_sq_bound(op: np.ndarray):
@@ -355,7 +371,8 @@ class DensityOperator:
 
     @classmethod
     def from_pure(cls, psi: "PureState") -> "DensityOperator":
-        return _outer_image([psi.amplitudes]).build(cls, ((psi.dim_a, psi.dim_b),))
+        dims = (psi.dim_a, psi.dim_b)
+        return _outer_image([psi.amplitudes]).build(cls, (dims,), capped=dims)
 
 
 @dataclass(frozen=True)
@@ -378,8 +395,8 @@ class UnnormalizedOperator:
         return float(self.matrix.trace().real)
 
     def normalized(self) -> DensityOperator:
-        image = _quotient_image(self.matrix, self._floor, self.weight)
-        return image.build(DensityOperator, self.factors)
+        image = _quotient_image(_Image(self.matrix, self._floor, self._herm), self.weight)
+        return image.build(DensityOperator, self.factors, capped=(self.dim_a, self.dim_b))
 
 
 _NORM_TOL = 1e-10
@@ -446,15 +463,19 @@ def tensor_product(x: DensityOperator, y: DensityOperator) -> DensityOperator:
     # The spectrum of sym(X) (x) sym(Y) is the products of the two spectra,
     # and each side's largest eigenvalue is at most its trace + D |f|.
     # sym(X (x) Y) also holds the product of the two anti-Hermitian parts, and
-    # every entry rounds once.
+    # every entry rounds once.  No entry of X or Y exceeds its Frobenius norm,
+    # and X (x) Y - (X (x) Y)^dag = (X - X^dag) (x) Y + X^dag (x) (Y - Y^dag).
     fx, fy = min(x._floor, 0.0), min(y._floor, 0.0)
+    bound_x, bound_y = _frobenius_bound(x.dim, x._floor), _frobenius_bound(y.dim, y._floor)
+    rounding = 2 * _EPS * bound_x * bound_y
     floor = (
         fx * (1.0 + TRACE_TOL - y.dim * fy)
         + fy * (1.0 + TRACE_TOL - x.dim * fx)
         - x.dim * y.dim * (HERMITICITY_TOL / 2) ** 2
-        - 2 * _EPS * _frobenius_bound(x.dim, x._floor) * _frobenius_bound(y.dim, y._floor)
+        - rounding
     )
-    return _Image(m, floor).build(DensityOperator, factors)
+    herm = x._herm * bound_y + y._herm * bound_x + 2 * rounding
+    return _Image(m, floor, herm).build(DensityOperator, factors, capped=(dim_a, dim_b))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

@@ -169,7 +169,7 @@ def align_to_phi_plus(rho: DensityOperator) -> tuple[DensityOperator, float]:
     # u_a is unitary only up to rounding; ||u_a (x) I||_F^2 <= 2 * 2 ||u_a||^2.
     norm_sq = _spectral_norm_sq_bound(u_a)
     image = _kraus_image(rho, (rotation,), norm_sq=norm_sq, frobenius_sq=4 * norm_sq)
-    rotated = image.build(DensityOperator, rho.factors)
+    rotated = image.build(DensityOperator, rho.factors, capped=(rho.dim_a, rho.dim_b))
     return rotated, fef
 
 

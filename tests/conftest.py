@@ -1,9 +1,10 @@
-"""Shared fixtures for the certified eigenvalue floors.
+"""Shared fixtures for the certified eigenvalue floors and Hermiticity bounds.
 
 Operators built inside the library carry a lower bound on their smallest
-eigenvalue and skip the dense spectrum when it is certified.  The reference
-here is the validation every operator ran before that: the same checks in the
-same order, always with ``eigvalsh``.
+eigenvalue and an upper bound on their Hermiticity residue, and skip the
+dense spectrum or residue when the bound is certified.  The reference here is
+the validation every operator ran before that: the same checks in the same
+order, always with the dense residue and ``eigvalsh``.
 """
 
 import sys
@@ -38,28 +39,44 @@ def reference_validate(matrix, dim, unit_trace):
     return None, eigenvalues
 
 
+def reference_residue(matrix):
+    return np.abs(matrix - matrix.conj().T).max()
+
+
 class FloorOracle:
     """Records every ``_validate_operator`` call and checks it against the reference."""
 
     def __init__(self):
         self.calls = []
         self.dense = 0  # eigvalsh calls made from _validate_operator
+        self.residues = 0  # dense Hermiticity residues computed
 
     def validate(self, original):
-        def spy(matrix, dim, *, unit_trace, floor=None):
+        def spy(matrix, dim, *, unit_trace, floor=None, herm=None):
             call = {"matrix": matrix, "dim": dim, "unit_trace": unit_trace, "floor": floor}
+            call["herm"] = herm
             self.calls.append(call)
-            before = self.dense
+            before, residues = self.dense, self.residues
             try:
-                call["result"] = original(matrix, dim, unit_trace=unit_trace, floor=floor)
+                call["result"] = original(
+                    matrix, dim, unit_trace=unit_trace, floor=floor, herm=herm
+                )
                 return call["result"]
             except qstate.InvalidStateError as exc:
                 call["error"] = str(exc)
                 raise
             finally:
                 call["dense"] = self.dense > before
+                call["residue"] = self.residues > residues
 
         return spy
+
+    def residue(self, original):
+        def counted(matrix):
+            self.residues += 1
+            return original(matrix)
+
+        return counted
 
     def eigvalsh(self, original):
         def counted(*args, **kwargs):
@@ -76,17 +93,35 @@ class FloorOracle:
         certificate) and then decided as the reference does, with a floor
         below the computed minimum; or it skipped the spectrum, and then the
         reference accepts its matrix and the floor bounds the spectrum up to
-        the reference's own rounding.  Errors keep class and message.
+        the reference's own rounding.  Errors keep class and message.  The
+        Hermiticity bound is checked the same way: public input always runs
+        the dense residue; every bound carried over, certified or not, is at
+        or above the reference residue; an accepted call returns such a bound.
+        ``herm_certified`` and ``herm_declined`` count the carried bounds that
+        skipped the dense residue and those that did not.
         """
         counts = {"certified": 0, "declined": 0, "public": 0, "rejected": 0}
+        counts.update(herm_certified=0, herm_declined=0)
         for call in self.calls:
             message, eigenvalues = reference_validate(
                 call["matrix"], call["dim"], call["unit_trace"]
             )
             assert call.get("error") == message
+            residue = reference_residue(call["matrix"])
+            if call["herm"] is None:
+                assert call["residue"]
+            else:
+                assert residue <= call["herm"]
+                if not call["residue"]:
+                    counts["herm_certified"] += 1
+                    assert call["herm"] <= 0.5 * HERMITICITY_TOL
+                else:
+                    counts["herm_declined"] += 1
             if message is not None:
                 counts["rejected"] += 1
                 continue
+            floor, herm = call["result"]
+            assert residue <= herm
             if call["floor"] is None:
                 assert call["dense"]
                 counts["public"] += 1
@@ -99,7 +134,7 @@ class FloorOracle:
                 margin = 2 * (call["dim"] + 1) * np.finfo(float).eps * radius
                 assert eigenvalues[0] >= call["floor"] - margin
                 continue
-            assert call["result"] <= eigenvalues[0]
+            assert floor <= eigenvalues[0]
         self.calls.clear()
         return counts
 
@@ -108,6 +143,7 @@ class FloorOracle:
 def floor_oracle(monkeypatch):
     oracle = FloorOracle()
     monkeypatch.setattr(qstate, "_validate_operator", oracle.validate(qstate._validate_operator))
+    monkeypatch.setattr(qstate, "_herm_residue", oracle.residue(qstate._herm_residue))
     monkeypatch.setattr(np.linalg, "eigvalsh", oracle.eigvalsh(np.linalg.eigvalsh))
     return oracle
 

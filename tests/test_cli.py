@@ -213,6 +213,71 @@ def test_hashing_simulate_summary(runner, tmp_path):
     assert table.stdout.strip().splitlines() == lines
 
 
+# Per command: an unknown option, a missing required input and a malformed
+# value.  ``check`` has only string options, so its malformed value is an
+# option given no value; ``state`` requires an argument, not an option.
+_HASHING = ["hashing", "simulate", "--n", "8", "--p0", "0.91", "--p1", "0.03", "--p2", "0.03"]
+USAGE_ERRORS = {
+    "state": (["state", "bell", "--bogus"], ["state"], ["state", "bell", "--label", "x"]),
+    "check": (["check", "--in", "s.json", "--bogus"], ["check"], ["check", "--in"]),
+    "twirl": (
+        ["twirl", "--in", "s.json", "--bogus"],
+        ["twirl", "--mode", "exact"],
+        ["twirl", "--in", "s.json", "--seed", "x"],
+    ),
+    "recurrence": (
+        ["recurrence", "--F0", "0.9", "--F-target", "0.99", "--bogus"],
+        ["recurrence", "--F0", "0.9"],
+        ["recurrence", "--F0", "abc", "--F-target", "0.99"],
+    ),
+    "hashing simulate": (
+        _HASHING + ["--p3", "0.03", "--trials", "2", "--bogus"],
+        _HASHING + ["--p3", "0.03"],
+        _HASHING + ["--p3", "0.03", "--trials", "two"],
+    ),
+    "carve": (
+        ["carve", "--d", "8", "--omega", "0.5", "--bogus"],
+        ["carve", "--d", "8"],
+        ["carve", "--d", "8.5", "--omega", "0.5"],
+    ),
+    "search-projection": (
+        ["search-projection", "--in", "s.json", "--trials", "2", "--bogus"],
+        ["search-projection", "--in", "s.json"],
+        ["search-projection", "--in", "s.json", "--trials", "many"],
+    ),
+}
+
+
+def test_usage_errors_fail_with_one_json_line(runner):
+    # click's usage errors once exited 2 with its multi-line usage text
+    for command, cases in USAGE_ERRORS.items():
+        unknown, missing, malformed = cases
+        assert "--bogus" in invoke_one_error_line(runner, unknown, "invalid_argument")
+        assert "Missing" in invoke_one_error_line(runner, missing, "invalid_argument")
+        message = invoke_one_error_line(runner, malformed, "invalid_argument")
+        assert "Invalid value" in message or "requires an argument" in message, command
+    message = invoke_one_error_line(runner, ["recurrence", "--f0", "0.9"], "invalid_argument")
+    assert message == "No such option '--f0'. Did you mean '--F0'?"
+    for args in (["--bogus"], ["hashing", "--bogus"], ["nonsense"]):
+        invoke_one_error_line(runner, args, "invalid_argument")
+    # help is printed as before, on --help and for a group run bare
+    for command in USAGE_ERRORS:
+        result = runner.invoke(main, command.split() + ["--help"])
+        assert result.exit_code == 0 and result.stdout.startswith("Usage: ")
+    for args in ([], ["hashing"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2 and result.stderr.startswith("Usage: ")
+
+
+def test_hashing_simulate_rejects_a_negative_budget(runner):
+    # budget -1 once exited 0 with a summary in which every trial failed
+    args = _HASHING + ["--p3", "0.03", "--trials", "2"]
+    message = invoke_one_error_line(runner, args + ["--budget", "-1"], "dimension_mismatch")
+    assert "budget=-1" in message
+    doc = json.loads(invoke_ok(runner, args + ["--budget", "0"]).stdout)
+    assert (doc["trials"], doc["failures"]) == (2, 2)
+
+
 def test_hashing_simulate_long_strings_exhaust_the_budget(runner, tmp_path):
     # n = 1200 once ended in a RecursionError traceback from a depth-first
     # enumerator; now the visit budget runs out and the trial fails cleanly

@@ -12,6 +12,7 @@ matcher, the round-by-round replay and the recursive depth-first enumerator.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,29 @@ def test_entry_points_reject_bad_epsilon():
         with pytest.raises(InvalidDistributionError, match="finite and positive"):
             is_typical(BellIndexVector((0,) * 8), src, bad)
     assert not any(math.isnan(key[2]) for key in hashing._TYPICAL_CACHE)
+
+
+def test_entry_points_reject_empty_strings_and_negative_budgets():
+    # n = -2 once raised a bare UnboundLocalError, n = 0 returned an empty set
+    # after a divide-by-zero warning and estimated no misses; a negative
+    # budget failed every trial instead of raising
+    src = SourceDist(SKEWED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (-2, 0):
+            with pytest.raises(DimensionMismatchError, match=f"n={n}"):
+                enumerate_typical(src, n, 0.1)
+            with pytest.raises(DimensionMismatchError, match=f"n={n}"):
+                typicality_miss_estimate(src, n, 0.1, trials=10)
+        with pytest.raises(DimensionMismatchError, match="budget=-1"):
+            enumerate_typical(src, 8, 0.1, budget=-1)
+        plan = plan_yield(src, 8)
+        with pytest.raises(DimensionMismatchError, match="budget=-1"):
+            run_hashing_trial(src, plan, [0, 1], budget=-1)
+    # the smallest length and a zero budget stay valid
+    assert enumerate_typical(src, 1, 0.5)[0].shape == (1, 1)
+    assert typicality_miss_estimate(src, 1, 0.5, trials=10).trials == 10
+    assert run_hashing_trial(src, plan, [0, 1], budget=0).budget_exceeded
 
 
 def test_is_typical_examples():

@@ -17,6 +17,7 @@ from distillery.errors import (
     InvalidStateError,
 )
 from distillery.qstate import (
+    HERMITICITY_TOL,
     DensityOperator,
     PureState,
     UnnormalizedOperator,
@@ -471,3 +472,214 @@ def test_library_results_run_no_dense_spectrum(dense_spectra):
     assert dense_spectra.dense == 0
     DensityOperator.from_matrix(np.eye(4) / 4, 2, 2)
     assert dense_spectra.dense == 1
+
+
+# --- certified Hermiticity bounds against the dense residue ------------------
+
+
+def reference_residue(m):
+    """The residue the dense check computed before it could be skipped."""
+    return np.abs(m - m.conj().T).max()
+
+
+def skewed_matrix(rng, dim_a, dim_b, residue):
+    """A random state's matrix plus an anti-Hermitian part whose residue is
+    ``residue``."""
+    d = dim_a * dim_b
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = a - a.conj().T
+    return random_density_operator(dim_a, dim_b, rng).matrix + a * (residue / reference_residue(a))
+
+
+def skewed_state(rng, dim_a, dim_b, residue):
+    """``skewed_matrix`` through the public constructor, which measures it."""
+    return DensityOperator.from_matrix(skewed_matrix(rng, dim_a, dim_b, residue), dim_a, dim_b)
+
+
+def attempt(call, *args):
+    """Run a call whose result may fail validation; the oracle checks the error."""
+    try:
+        return call(*args)
+    except InvalidStateError:
+        return None
+
+
+_RESIDUES = (0.0, 1e-15, 1e-12, 3e-11, 6e-11, 9e-11)
+
+
+def test_hermiticity_bounds_cover_the_residue(floor_oracle):
+    # every bound an image helper carries over, certified or not, is at least
+    # the residue of the matrix it built (the oracle checks each one)
+    from distillery.bell import BellProbs, density_from_bell_probs, twirl
+    from distillery.locc import KrausChannel, LocalFilter, apply_selective, carve_pairs
+    from distillery.recurrence import align_to_phi_plus
+
+    rng = np.random.default_rng(51)
+    for dim_a, dim_b in ((2, 2), (2, 3), (3, 3)):
+        for residue in _RESIDUES:
+            rho = skewed_state(rng, dim_a, dim_b, residue)
+            assert rho._herm == reference_residue(rho.matrix)  # public: measured
+            sigma, clean = skewed_state(rng, 2, 2, residue), skewed_state(rng, 2, 2, 0.0)
+            for x, y in ((rho, sigma), (rho, clean), (clean, rho)):  # tensor_product
+                joint = attempt(tensor_product, x, y)
+                if joint is not None:
+                    attempt(tensor_product, joint, sigma)
+            for weight in (1e-9, 1e-3, 0.5, 1.0):  # _quotient_image
+                attempt(UnnormalizedOperator(rho.factors, weight * rho.matrix).normalized)
+            filt = LocalFilter(haar_unitary(dim_a, rng)[:2], haar_unitary(dim_b, rng))
+            for state in (rho, random_pure_state(dim_a, dim_b, rng)):  # _kraus_image, _outer_image
+                branch = attempt(apply_selective, filt, state)
+                if branch is not None:
+                    attempt(branch.normalized)
+            ops = [np.kron(haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)) / 2 for _ in range(4)]
+            mix = KrausChannel(tuple(ops), (dim_a, dim_b), ((dim_a, dim_b),), True, True)
+            attempt(apply_selective, mix, rho)  # several Kraus terms
+            if (dim_a, dim_b) == (2, 2):
+                twirled = attempt(twirl, rho)  # divided stacked sum
+                if twirled is not None:
+                    attempt(twirl, twirled)
+                attempt(align_to_phi_plus, rho)  # one product
+    for p in ((1.0, 0.0, 0.0, 0.0), (0.25,) * 4, (1.0 + 1e-12, -1e-12, 0.0, 0.0)):
+        density_from_bell_probs(BellProbs(p))  # _weighted_outer_image
+    for d in (4, 9, 16):  # several outer products
+        apply_selective(carve_pairs(d, 0.5).channel, max_entangled(d)).normalized()
+    counts = floor_oracle.check()
+    assert counts["herm_certified"] > 100
+    assert counts["herm_declined"] > 30
+    assert counts["public"] > 100
+
+
+def test_direct_hermiticity_bounds_cover_each_residue():
+    # weighted outer products of generic columns, which the Bell basis is not;
+    # the stacked projection search shares one bound across a stack of
+    # branches and another across their quotients by an array of weights
+    from distillery.locc import _FILTER_NORM_SQ, _kron
+    from distillery.qstate import (
+        _kraus_image,
+        _quotient_image,
+        _spectral_norm_sq_bound,
+        _weighted_outer_image,
+    )
+
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        columns = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+        weights = rng.uniform(-0.5, 1.0, 4)
+        image = _weighted_outer_image(columns, weights, _spectral_norm_sq_bound(columns))
+        assert reference_residue(image.matrix) <= image.herm
+    for residue in _RESIDUES:
+        rho = skewed_state(rng, 3, 3, residue)
+        a = np.stack([haar_unitary(3, rng)[:2] for _ in range(16)])
+        b = np.stack([haar_unitary(3, rng)[:2] for _ in range(16)])
+        branch = _kraus_image(
+            rho, _kron(a, b)[:, None], norm_sq=_FILTER_NORM_SQ, frobenius_sq=9 * _FILTER_NORM_SQ
+        )
+        weights = np.trace(branch.matrix, axis1=-2, axis2=-1).real
+        state = _quotient_image(branch, weights)
+        for image in (branch, state):
+            for k, m in enumerate(image.matrix):
+                assert reference_residue(m) <= np.broadcast_to(image.herm, weights.shape)[k]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_carve_verify_runs_no_dense_residue(monkeypatch):
+    # the branch, the normalized state and the target all carry certified
+    # bounds, so none of their 256 x 256 matrices is read for its residue
+    from click.testing import CliRunner
+
+    from distillery import qstate
+    from distillery.cli import main
+
+    residues = count_calls(monkeypatch, qstate, "_herm_residue")
+    result = CliRunner().invoke(main, ["carve", "--d", "32", "--omega", "0.8", "--verify"])
+    assert result.exit_code == 0 and residues == []
+    DensityOperator.from_matrix(np.eye(4) / 4, 2, 2)
+    assert len(residues) == 1
+
+
+def test_uncertified_residues_raise_the_dense_error(monkeypatch):
+    from conftest import reference_validate
+
+    from distillery import qstate
+    from distillery.qstate import _Image
+
+    rng = np.random.default_rng(53)
+    # public input: the dense residue decides and words the error
+    m = random_density_operator(2, 2, rng).matrix + 1e-9j * np.eye(4)[::-1]
+    with pytest.raises(InvalidStateError) as info:
+        DensityOperator.from_matrix(m, 2, 2)
+    assert str(info.value) == reference_validate(m, 4, True)[0]
+    # a branch whose residue doubles when normalized: no certificate covers
+    # it, and the dense check rejects it with the same message
+    branch = UnnormalizedOperator(((2, 2),), 0.5 * skewed_matrix(rng, 2, 2, 1.6e-10))
+    assert branch._herm <= HERMITICITY_TOL
+    with pytest.raises(InvalidStateError, match="not Hermitian") as info:
+        branch.normalized()
+    assert str(info.value) == reference_validate(branch.matrix / branch.weight, 4, True)[0]
+    # a non-finite or too large bound never certifies; one at half the
+    # tolerance does
+    residues = count_calls(monkeypatch, qstate, "_herm_residue")
+    rho = random_density_operator(2, 2, rng)
+    for bound, dense in ((math.nan, 1), (math.inf, 1), (0.6e-10, 1), (0.5e-10, 0), (0.0, 0)):
+        before = len(residues)
+        op = _Image(rho.matrix.copy(), 0.0, bound).build(DensityOperator, rho.factors)
+        assert len(residues) - before == dense
+        assert op._herm == (reference_residue(rho.matrix) if dense else bound)
+
+
+def test_outer_image_adds_as_sum_from_zero():
+    # in place, the terms add as Python's sum from 0 added them, which turns
+    # a -0.0 of the first term into 0.0 (and 0.0 + -0.0 into 0.0)
+    from distillery.qstate import _outer_image
+
+    rng = np.random.default_rng(56)
+    zeros = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)]
+    for k in (1, 2, 3, 5):
+        for d in (1, 2, 3, 7, 64):
+            vectors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(k)]
+            for v in vectors:
+                mask = rng.random(d) < 0.4
+                v[mask] = rng.choice(zeros, mask.sum())
+            if k == 1:
+                want = np.outer(vectors[0], vectors[0].conj())
+            else:
+                want = sum(np.outer(v, v.conj()) for v in vectors)
+            assert _outer_image(vectors).matrix.tobytes() == want.tobytes(), (k, d)
+
+
+def test_herm_residue_gives_the_reference_bits():
+    from distillery.qstate import _herm_residue
+
+    rng = np.random.default_rng(54)
+    for d in (4, 16, 64, 256, 1024):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for case in (m, m + m.conj().T, (m + m.conj().T) * (1 + 1e-13j), m.T):
+            assert _herm_residue(case).tobytes() == reference_residue(case).tobytes()
+    for bad in (math.nan, math.inf, complex(0, math.inf)):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        assert _herm_residue(m).tobytes() == reference_residue(m).tobytes()
+
+
+def test_images_on_their_input_dimensions_skip_the_cap(monkeypatch):
+    from distillery import qstate
+    from distillery.bell import twirl
+
+    rho = random_density_operator(2, 2, np.random.default_rng(55))
+    reads = count_calls(monkeypatch, qstate, "max_side_dim")
+    twirl(twirl(rho))
+    UnnormalizedOperator(rho.factors, 0.5 * rho.matrix).normalized()
+    assert len(reads) == 1  # the public UnnormalizedOperator only
+    tensor_product(rho, rho)
+    assert len(reads) == 2  # where dimensions enter
