@@ -18,10 +18,10 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidStateError, ZeroProbabilityError
 from .locc import (
     _FILTER_NORM_SQ,
-    COMPLETENESS_TOL,
-    ZERO_PROBABILITY_TOL,
     LocalFilter,
     SelectiveOutcome,
+    _branch_probability,
+    _filter_norm_certified,
     _kron,
     apply_selective,
 )
@@ -232,20 +232,21 @@ def twirl(
     _require_two_qubit(rho, "twirl")
     if mode == "exact":
         # The average of twelve conjugations: Kraus operators v / sqrt(12).
-        image = _kraus_image(
-            rho,
-            _TWIRL_UNITARIES,
-            norm_sq=_TWIRL_NORM_SQ,
-            frobenius_sq=4 * _TWIRL_NORM_SQ,
-            divisor=12.0,
-            adjoints=_TWIRL_ADJOINTS,
-        )
-        return image.build(DensityOperator, rho.factors, capped=(rho.dim_a, rho.dim_b))
-    if mode == "sampled":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        v = _TWIRL_UNITARIES[int(rng.integers(0, 12))]
-        return DensityOperator(rho.factors, v @ rho.matrix @ v.conj().T)
-    raise InvalidStateError(f"twirl mode must be 'exact' or 'sampled', got {mode!r}")
+        ops, adjoints, divisor = _TWIRL_UNITARIES, _TWIRL_ADJOINTS, 12.0
+    elif mode == "sampled":
+        k = int(np.random.default_rng(0 if seed is None else seed).integers(0, 12))
+        ops, adjoints, divisor = _TWIRL_UNITARIES[k : k + 1], _TWIRL_ADJOINTS[k : k + 1], None
+    else:
+        raise InvalidStateError(f"twirl mode must be 'exact' or 'sampled', got {mode!r}")
+    image = _kraus_image(
+        rho,
+        ops,
+        norm_sq=_TWIRL_NORM_SQ,
+        frobenius_sq=4 * _TWIRL_NORM_SQ,
+        divisor=divisor,
+        adjoints=adjoints,
+    )
+    return image.build(DensityOperator, rho.factors, capped=(rho.dim_a, rho.dim_b))
 
 
 def bell_probs_from_density(rho: DensityOperator, project: bool = False) -> BellProbs:
@@ -289,6 +290,11 @@ def ppt_min_eigenvalue(rho: DensityOperator) -> float:
     return float(np.linalg.eigvalsh(sym(partial_transpose(rho))).min())
 
 
+def _entangled(ppt_min: float) -> bool:
+    """The verdict on a PPT minimum eigenvalue."""
+    return ppt_min < -ENTANGLEMENT_TOL
+
+
 def two_qubit_diagnostics(rho: DensityOperator) -> TwoQubitDiagnostics:
     """PPT minimum eigenvalue, fully entangled fraction, and the verdict."""
     _require_two_qubit(rho, "two_qubit_diagnostics")
@@ -296,25 +302,25 @@ def two_qubit_diagnostics(rho: DensityOperator) -> TwoQubitDiagnostics:
     return TwoQubitDiagnostics(
         ppt_min_eigenvalue=pt_min,
         fully_entangled_fraction=fully_entangled_fraction(rho),
-        entangled=pt_min < -ENTANGLEMENT_TOL,
+        entangled=_entangled(pt_min),
     )
 
 
 def _range_isometry(projector: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """The dim x 2 isometry onto a rank-2 projector's range, or its first failed check's error."""
     p = np.asarray(projector, dtype=complex)
     if p.shape != (dim, dim):
         raise DimensionMismatchError(
             f"{name} has shape {p.shape}, expected ({dim}, {dim})"
         )
-    if np.abs(p - p.conj().T).max() > _PROJECTOR_TOL:
+    vectors, _, (hermitian, idempotent, rank) = _range_isometries(p[None])
+    if not hermitian[0]:
         raise InvalidStateError(f"{name} is not Hermitian")
-    if np.abs(p @ p - p).max() > _PROJECTOR_TOL:
+    if not idempotent[0]:
         raise InvalidStateError(f"{name} is not idempotent within {_PROJECTOR_TOL}")
-    eigenvalues, vectors = np.linalg.eigh(sym(p))
-    keep = eigenvalues > 0.5
-    if int(keep.sum()) != 2:
-        raise InvalidStateError(f"{name} must have rank 2, got rank {int(keep.sum())}")
-    return vectors[:, keep]  # dim x 2 isometry onto the range
+    if rank[0] != 2:
+        raise InvalidStateError(f"{name} must have rank 2, got rank {rank[0]}")
+    return vectors[0]
 
 
 def project_to_qubits(
@@ -333,39 +339,39 @@ def project_to_qubits(
     return outcome, diagnostics
 
 
-def _range_isometries(projectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_range_isometry`` on a stack of projectors: the isometries onto their
-    ranges, and which projectors pass its Hermiticity, idempotence and
-    rank-2 checks.  Eigenvalues come in ascending order, so a rank-2 range is
-    spanned by the last two eigenvectors."""
-    dim = projectors.shape[-1]
-    hermitian = np.abs(projectors - projectors.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    idempotent = np.abs(projectors @ projectors - projectors).max(axis=(-2, -1))
+def _range_isometries(projectors: np.ndarray):
+    """For a stack of projectors: the isometries onto their ranges, which pass,
+    and per projector whether it is Hermitian, whether idempotent, and its rank.
+    Eigenvalues come in ascending order, so the last two eigenvectors span a
+    rank-2 range."""
+    residue = np.abs(projectors - projectors.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    hermitian = residue <= _PROJECTOR_TOL
+    idempotent = np.abs(projectors @ projectors - projectors).max(axis=(-2, -1)) <= _PROJECTOR_TOL
+    if not (hermitian & idempotent).all():  # eigh stops on a non-finite entry
+        projectors = np.where((hermitian & idempotent)[..., None, None], projectors, 0.0)
     eigenvalues, vectors = np.linalg.eigh(sym(projectors))
-    rank_two = ((eigenvalues > 0.5) == (np.arange(dim) >= dim - 2)).all(axis=-1)
-    passed = (hermitian <= _PROJECTOR_TOL) & (idempotent <= _PROJECTOR_TOL) & rank_two
-    return vectors[..., -2:], passed
+    rank = (eigenvalues > 0.5).sum(axis=-1)
+    passed = hermitian & idempotent & (rank == 2)
+    return vectors[..., -2:], passed, (hermitian, idempotent, rank)
 
 
 def _project_stack(rho: DensityOperator, pi_a: np.ndarray, pi_b: np.ndarray):
     """``project_to_qubits`` over stacks of projector pairs, in stacked calls.
 
     Returns, per pair, the PPT minimum of the compressed state, the outcome
-    probability, whether that probability is kept (above
-    ``ZERO_PROBABILITY_TOL`` and at most 1 + ``COMPLETENESS_TOL``; the others
-    are the pairs ``project_to_qubits`` ends with a ``ZeroProbabilityError``),
+    probability, whether that probability is kept (``_branch_probability``;
+    the others are the pairs ``project_to_qubits`` ends with a
+    ``ZeroProbabilityError``),
     and whether every check of the per-pair path passed on a certificate.
     The values of a pair that is not certified mean nothing: it must go
     through ``project_to_qubits``.
     """
-    va, range_a = _range_isometries(pi_a)
-    vb, range_b = _range_isometries(pi_b)
+    va, range_a, _ = _range_isometries(pi_a)
+    vb, range_b, _ = _range_isometries(pi_b)
     a_ops, b_ops = va.conj().swapaxes(-1, -2), vb.conj().swapaxes(-1, -2)
     # LocalFilter's norm certificate on both sides; a pair that fails it goes
     # through LocalFilter itself, whose SVD decides and words the outcome.
-    filter_ok = (_spectral_norm_sq_bound(a_ops) <= 1.0 + COMPLETENESS_TOL) & (
-        _spectral_norm_sq_bound(b_ops) <= 1.0 + COMPLETENESS_TOL
-    )
+    filter_ok = _filter_norm_certified(a_ops) & _filter_norm_certified(b_ops)
     kraus = _kron(a_ops, b_ops)[:, None]  # one Kraus operator per trial
     branch = _kraus_image(
         rho, kraus, norm_sq=_FILTER_NORM_SQ, frobenius_sq=rho.dim * _FILTER_NORM_SQ
@@ -373,8 +379,7 @@ def _project_stack(rho: DensityOperator, pi_a: np.ndarray, pi_b: np.ndarray):
     # The probability is the branch trace itself, so SelectiveOutcome's
     # consistency check between the two holds by construction.
     probability = np.trace(branch.matrix, axis1=-2, axis2=-1).real
-    nonzero = probability > ZERO_PROBABILITY_TOL
-    kept = nonzero & (probability <= 1.0 + COMPLETENESS_TOL)
+    nonzero, kept = _branch_probability(probability)
     state = _quotient_image(branch, np.where(kept, probability, 1.0))
     certified = (
         range_a

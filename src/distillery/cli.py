@@ -2,14 +2,15 @@
 
 Every command is deterministic given its flags: the same invocation with the
 same ``--seed`` produces byte-identical output.  JSON payloads carry reals
-with 17 significant digits, CSV with 12.  Failures exit non-zero after
-printing a single-line JSON object with an ``error_code`` field on stderr.
+with 17 significant digits, CSV with 12; every JSON document, errors
+included, is written by the library's one JSON writer, ``qstate._json_value``.
+Failures exit non-zero after printing a single-line JSON object with an
+``error_code`` field on stderr.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import sys
 
 import click
@@ -18,27 +19,7 @@ import numpy as np
 from . import bell, hashing, locc, qstate, recurrence
 from .errors import DistilleryError, FileAccessError, InvalidDistributionError
 
-_JSON_SIG = 17
 _CSV_SIG = 12
-
-
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return qstate.format_real(float(value), _JSON_SIG)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ",".join(f"{json.dumps(str(k))}:{_json_value(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _read_file(path: str) -> str:
@@ -69,12 +50,8 @@ def _csv_real(x: float) -> str:
     return qstate.format_real(float(x), _CSV_SIG)
 
 
-def _complex_matrix_doc(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def _fail(code: str, message: str) -> None:
-    line = _json_value({"error_code": code, "message": message})
+    line = qstate._json_value({"error_code": code, "message": message})
     click.echo(line, err=True)
     sys.exit(1)
 
@@ -158,7 +135,7 @@ def cmd_check(path, out) -> None:
         doc["ppt_min_eigenvalue"] = bell.ppt_min_eigenvalue(rho)
         doc["fully_entangled_fraction"] = None
         doc["entangled"] = None
-    _emit(_json_value(doc), out)
+    _emit(qstate._json_value(doc), out)
 
 
 @main.command("twirl")
@@ -264,10 +241,7 @@ def cmd_hashing_simulate(
         "collision_term": bound.collision_term,
         "failure_bound": bound.total,
     }
-    if out_format == "csv":
-        click.echo(csv_text)
-    else:
-        _emit(_json_value(summary))
+    _emit(csv_text if out_format == "csv" else qstate._json_value(summary))
 
 
 @main.command("carve")
@@ -291,7 +265,7 @@ def cmd_carve(dim, omega, verify) -> None:
         residual = float(np.abs(outcome.normalized().matrix - target.matrix).max())
         doc["simulated_success_prob"] = outcome.probability
         doc["output_residual"] = residual
-    _emit(_json_value(doc))
+    _emit(qstate._json_value(doc))
 
 
 @main.command("search-projection")
@@ -304,13 +278,13 @@ def cmd_search_projection(path, trials, seed) -> None:
     witness = bell.search_projection_witness(rho, trials, seed=seed)
     doc = {
         "ppt_min_eigenvalue": witness.ppt_min_eigenvalue,
-        "entangled": witness.ppt_min_eigenvalue < -bell.ENTANGLEMENT_TOL,
+        "entangled": bell._entangled(witness.ppt_min_eigenvalue),
         "trial_index": witness.trial_index,
         "success_prob": witness.success_prob,
-        "pi_a": _complex_matrix_doc(witness.pi_a),
-        "pi_b": _complex_matrix_doc(witness.pi_b),
+        "pi_a": witness.pi_a,
+        "pi_b": witness.pi_b,
     }
-    _emit(_json_value(doc))
+    _emit(qstate._json_value(doc))
 
 
 if __name__ == "__main__":

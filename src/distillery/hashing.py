@@ -224,13 +224,6 @@ def _round_masks(s_list: list[list[int]], n: int) -> tuple[list[int], list[int]]
     return t_masks, [mask for pair in zip(phase, amp) for mask in pair]
 
 
-def _compile_rounds(s_list: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """GF(2) matrices of the rounds, T (r x 2n) for the revealed bits and F
-    (2m x 2n) for the final flat bits, whose rows are ``_round_masks``."""
-    masks = _round_masks([s.tolist() for s in s_list], n)
-    return tuple(np.array([[v >> j & 1 for j in range(2 * n)] for v in m], np.uint8) for m in masks)
-
-
 @dataclass(frozen=True)
 class YieldPlan:
     """Round count and typicality window for a hashing run of n pairs."""
@@ -327,9 +320,21 @@ def _subset_tables(walk: np.ndarray) -> np.ndarray:
 
 
 # Recent enumerations only: a sweep over many sources would otherwise keep
-# every one for the life of the process (~240 KB each at n = 24).
+# every one for the life of the process (~240 KB each at n = 24).  A key holds
+# its typical set, or the largest budget that it exceeded.
 _TYPICAL_CACHE_SIZE = 4
-_TYPICAL_CACHE: OrderedDict[tuple, _TypicalSet] = OrderedDict()
+_TYPICAL_CACHE: OrderedDict[tuple, _TypicalSet | int] = OrderedDict()
+
+
+def _remember(key, entry) -> None:
+    _TYPICAL_CACHE[key] = entry  # a key already held was moved to the end on lookup
+    if len(_TYPICAL_CACHE) > _TYPICAL_CACHE_SIZE:
+        _TYPICAL_CACHE.popitem(last=False)
+
+
+def _over_budget(budget: int) -> DecoderBudgetError:
+    message = f"typical-set enumeration exceeded {budget} visits"
+    return DecoderBudgetError(message, visits=budget + 1)
 
 
 def enumerate_typical(
@@ -340,8 +345,10 @@ def enumerate_typical(
     Returns (symbols, bits, visits): a (C, n) symbol matrix in lexicographic
     order, its (C, 2n) bit flattening, and the number of search-tree nodes
     visited.  The tree is expanded one depth at a time, children in symbol
-    order; memory stays O(visits) whatever n is.  Recent enumerations are
-    cached per (source, n, epsilon); exceeding the visit budget raises.
+    order; memory stays O(visits) whatever n is.  Exceeding the visit budget
+    raises.  The visits do not depend on the budget, so a search exceeds
+    every budget below its visits and none above; recent outcomes, sets and
+    exceeded budgets alike, are cached per (source, n, epsilon).
     """
     n = int(n)
     if n < 1 or budget < 0:
@@ -349,9 +356,12 @@ def enumerate_typical(
     epsilon = _window(epsilon)
     key = (src.p, n, epsilon)
     cached = _TYPICAL_CACHE.get(key)
-    if cached is not None and cached[2] <= budget:
+    if cached is not None:
         _TYPICAL_CACHE.move_to_end(key)
-        return cached
+        if isinstance(cached, _TypicalSet) and cached[2] <= budget:
+            return cached
+        if isinstance(cached, _TypicalSet) or budget <= cached:
+            raise _over_budget(budget)
 
     surprisal = src.surprisals()
     symbols = np.array([k for k in range(4) if not math.isinf(surprisal[k])], dtype=np.uint8)
@@ -364,9 +374,8 @@ def enumerate_typical(
     visits = 1
     for depth in range(n + 1):
         if visits > budget:
-            raise DecoderBudgetError(
-                f"typical-set enumeration exceeded {budget} visits", visits=budget + 1
-            )
+            _remember(key, budget)
+            raise _over_budget(budget)
         remaining = n - depth
         # Prune nodes that cannot land inside the window (small slack so
         # roundoff never drops a boundary string; leaves recheck exactly).
@@ -390,9 +399,7 @@ def enumerate_typical(
     syms = np.ascontiguousarray(walk.T)
     result = _TypicalSet((syms, _flat_bits(syms), visits))
     result.tables = _subset_tables(walk)
-    _TYPICAL_CACHE[key] = result
-    if len(_TYPICAL_CACHE) > _TYPICAL_CACHE_SIZE:
-        _TYPICAL_CACHE.popitem(last=False)
+    _remember(key, result)
     return result
 
 

@@ -9,7 +9,6 @@ than decided algorithmically.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -30,11 +29,12 @@ from .qstate import (
     PureState,
     UnnormalizedOperator,
     _frozen_matrix,
+    _Image,
     _integer,
     _json_loads,
+    _json_value,
     _kraus_image,
     _matrix_from_json,
-    _matrix_to_json,
     _outer_image,
     _spectral_norm_sq_bound,
     max_side_dim,
@@ -108,6 +108,18 @@ _FILTER_NORM_SQ = (1.0 + 2 * COMPLETENESS_TOL) ** 4
 _KRAUS_NORM_SQ = 1.0 + 2 * COMPLETENESS_TOL
 
 
+def _filter_norm_certified(op):
+    """Whether a filter side, or each of a stack, has a bound proving norm <= 1 + tol/2."""
+    return _spectral_norm_sq_bound(op) <= 1.0 + COMPLETENESS_TOL
+
+
+def _branch_probability(p, floor=ZERO_PROBABILITY_TOL):
+    """Whether a probability, or each of an array, exceeds ``floor`` (which branches
+    ``apply_selective`` builds), and whether it is also at most 1 + tol (which it keeps)."""
+    above = p > floor
+    return above, above & (p <= 1.0 + COMPLETENESS_TOL)
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices as one broadcast product, bit for bit; of
     two stacks of matrices, the Kronecker product of each pair."""
@@ -179,6 +191,8 @@ class KrausChannel:
                     raise InvalidChannelError(
                         f"Kraus operator shape {op.shape} does not match ({dout}, {din})"
                     )
+                if not np.isfinite(op).all():
+                    raise InvalidChannelError("Kraus operator has a non-finite entry")
         else:
             sides = tuple((len(pairs[0]), o, i) for o, i in zip(self.out_dims, self.in_dims))
             if tuple(side.shape for side in pairs) != sides:
@@ -297,18 +311,18 @@ class LocalFilter(KrausChannel):
             out_factors=((a.shape[0], b.shape[0]),),
             _norm_sq=_FILTER_NORM_SQ if self.normalized else None,
         )
-        if self.normalized:
-            for name, op in (("a_op", a), ("b_op", b)):
-                # A bound <= 1 + tol certifies a norm <= 1 + tol/2 without an
-                # SVD; the SVD decides and words the error otherwise.
-                if _spectral_norm_sq_bound(op) <= 1.0 + COMPLETENESS_TOL:
-                    continue
-                norm = np.linalg.norm(op, 2)
-                if norm > 1.0 + COMPLETENESS_TOL:
-                    raise InvalidFilterError(
-                        f"{name} has spectral norm {norm:.12f} > 1; "
-                        "flag the filter as unnormalized if this is intended"
-                    )
+        for name, op in (("a_op", a), ("b_op", b)):
+            # Where the certificate fails the SVD decides and words the error.
+            if self.normalized and _filter_norm_certified(op):
+                continue
+            if not np.isfinite(op).all():
+                raise InvalidFilterError(f"{name} has a non-finite entry")
+            norm = np.linalg.norm(op, 2) if self.normalized else 0.0
+            if norm > 1.0 + COMPLETENESS_TOL:
+                raise InvalidFilterError(
+                    f"{name} has spectral norm {norm:.12f} > 1; "
+                    "flag the filter as unnormalized if this is intended"
+                )
 
 
 @dataclass(frozen=True)
@@ -321,7 +335,7 @@ class SelectiveOutcome:
     def __post_init__(self):
         p = float(self.probability)
         object.__setattr__(self, "probability", p)
-        if not 0.0 < p <= 1.0 + COMPLETENESS_TOL:
+        if not _branch_probability(p, 0.0)[1]:
             raise ZeroProbabilityError(f"outcome probability {p} outside (0, 1]")
         if abs(p - self.unnormalized_state.weight) > TRACE_CONSISTENCY_TOL:
             raise InvalidStateError(
@@ -342,25 +356,15 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
         raise InvalidChannelError(
             "apply_channel needs a trace-preserving channel; use apply_selective for branches"
         )
-    if channel.in_dims != (rho.dim_a, rho.dim_b):
-        raise DimensionMismatchError(
-            f"channel input {channel.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
-        )
-    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
-    return DensityOperator(channel.out_factors, out)
+    image = _branch_image(channel, rho)
+    np.add(image.matrix, 0.0, out=image.matrix)  # as sum() from 0: a single term's -0.0 reads 0.0
+    return image.build(DensityOperator, channel.out_factors, capped=(rho.dim_a, rho.dim_b))
 
 
 def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> SelectiveOutcome:
     """Apply a sub-channel branch, a ``LocalFilter`` included, keeping the
     outcome weight.
 
-    The branch is sum_k K_k rho K_k^dag, with the floor proved from the
-    ||K_k||^2 bound that the channel's class carries.  A ``PureState`` input
-    is never expanded to its density matrix: the branch is
-    sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
-    A channel kept as factors forms each K_k psi = vec(A_k Psi B_k^T), with
-    Psi the amplitudes as a dim_a x dim_b matrix, and no K_k; a filter
-    applies its A tensor B, so its branches keep their bits.
     Raises ZeroProbabilityError when the branch weight falls below 1e-12, so
     callers never divide by a numerically vanished trace.
     """
@@ -371,31 +375,39 @@ def apply_selective(op: KrausChannel, rho: DensityOperator | PureState) -> Selec
             "selective application needs a normalized filter; "
             "the trace of an unnormalized branch is not a probability"
         )
-    if op.in_dims != (rho.dim_a, rho.dim_b):
-        raise DimensionMismatchError(
-            f"{op._noun} input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
-        )
-    pairs = None if isinstance(op, LocalFilter) else op.__dict__.get("_pairs")
-    if isinstance(rho, PureState) and pairs is not None:
-        a, b = pairs
-        psi = rho.amplitudes.reshape(rho.dim_a, rho.dim_b)
-        image = _outer_image(list((a @ psi @ b.swapaxes(-1, -2)).reshape(len(a), -1)))
-    elif isinstance(rho, PureState):
-        image = _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
-    else:
-        image = _kraus_image(
-            rho,
-            op.kraus_ops,
-            norm_sq=len(op.kraus_ops) * op._norm_sq,
-            frobenius_sq=rho.dim * op._norm_sq,
-        )
+    image = _branch_image(op, rho)
     probability = float(np.trace(image.matrix).real)
-    if probability <= ZERO_PROBABILITY_TOL:
+    if not _branch_probability(probability)[0]:
         raise ZeroProbabilityError(
             f"selective branch has probability {probability:.3e} <= {ZERO_PROBABILITY_TOL}"
         )
     branch = image.build(UnnormalizedOperator, op.out_factors, capped=(rho.dim_a, rho.dim_b))
     return SelectiveOutcome(branch, probability)
+
+
+def _branch_image(op: KrausChannel, rho: DensityOperator | PureState) -> _Image:
+    """sum_k K_k rho K_k^dag, with the floor proved from the ||K_k||^2 bound
+    that the channel's class carries.
+
+    A ``PureState`` input is never expanded to its density matrix: the branch
+    is sum_k |K_k psi><K_k psi|, summed in Kraus order like the density route.
+    A channel kept as factors forms each K_k psi = vec(A_k Psi B_k^T), with
+    Psi the amplitudes as a dim_a x dim_b matrix, and no K_k; a filter
+    applies its A tensor B, so its branches keep their bits.
+    """
+    if op.in_dims != (rho.dim_a, rho.dim_b):
+        raise DimensionMismatchError(
+            f"{op._noun} input {op.in_dims} does not match state ({rho.dim_a}, {rho.dim_b})"
+        )
+    if not isinstance(rho, PureState):
+        ops, norm_sq = op.kraus_ops, op._norm_sq
+        return _kraus_image(rho, ops, norm_sq=len(ops) * norm_sq, frobenius_sq=rho.dim * norm_sq)
+    pairs = None if isinstance(op, LocalFilter) else op.__dict__.get("_pairs")
+    if pairs is None:
+        return _outer_image([k @ rho.amplitudes for k in op.kraus_ops])
+    a, b = pairs
+    psi = rho.amplitudes.reshape(rho.dim_a, rho.dim_b)
+    return _outer_image(list((a @ psi @ b.swapaxes(-1, -2)).reshape(len(a), -1)))
 
 
 def postselect_compose(
@@ -503,17 +515,9 @@ def carve_pairs(d: int, omega: float) -> CarveReport:
 
 
 def channel_to_json(channel: KrausChannel) -> str:
-    ops = ",".join(_matrix_to_json(k) for k in channel.kraus_ops)
-    factors = ",".join(f"[{a},{b}]" for a, b in channel.out_factors)
-    flags = (
-        f'"product_form":{str(channel.product_form).lower()},'
-        f'"trace_preserving":{str(channel.trace_preserving).lower()}'
-    )
-    prov = json.dumps(channel.provenance)
-    return (
-        f'{{"in_dims":[{channel.in_dims[0]},{channel.in_dims[1]}],'
-        f'"out_factors":[{factors}],{flags},"provenance":{prov},"kraus_ops":[{ops}]}}'
-    )
+    names = ("in_dims", "out_factors", "product_form", "trace_preserving", "provenance")
+    doc = {name: getattr(channel, name) for name in names}
+    return _json_value({**doc, "kraus_ops": channel.kraus_ops})
 
 
 def channel_from_json(text: str) -> KrausChannel:

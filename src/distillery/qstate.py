@@ -20,13 +20,18 @@ operator from validated ones passes on rigorous bounds for the result, its
 own rounding included; the result runs the dense residue or spectrum only
 when its bound misses half the tolerance, so the dense checks still make, and
 word, every decision the certificates cannot.
+
+Every JSON document the package writes, states, channels and the command
+line's output alike, goes through the one writer here, ``_json_value``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +133,20 @@ def _herm_residue(matrix: np.ndarray):
     return np.abs(diff).max()
 
 
+# Accept-form predicates on a value or on each of an array: each says when a
+# value passes, so NaN never does.  Certificates pass ``_CERTIFICATE_SLACK``.
+def _hermitian(residue, slack=1.0):
+    return residue <= slack * HERMITICITY_TOL
+
+
+def _above_floor(lowest, slack=1.0):
+    return lowest >= slack * EIGENVALUE_FLOOR
+
+
+def _trace_accepted(tr, unit_trace: bool):
+    return abs(tr - 1.0) <= TRACE_TOL if unit_trace else tr.real > 0.0
+
+
 def _validate_operator(
     matrix: np.ndarray, dim: int, *, unit_trace: bool, floor=None, herm=None
 ) -> tuple[float, float]:
@@ -139,24 +158,24 @@ def _validate_operator(
     stands in for the dense residue, ``floor`` at least half of
     ``EIGENVALUE_FLOOR`` for ``eigvalsh``.  What the dense checks compute is
     returned instead: the residue, and the minimum less a rounding margin.
+    A non-finite entry makes the residue NaN or inf, which is rejected.
     """
     if matrix.shape != (dim, dim):
         raise InvalidStateError(
             f"matrix shape {matrix.shape} does not match declared dimension {dim}"
         )
-    if herm is None or not herm <= _CERTIFICATE_SLACK * HERMITICITY_TOL:
+    if herm is None or not _hermitian(herm, _CERTIFICATE_SLACK):
         herm = _herm_residue(matrix)
-        if herm > HERMITICITY_TOL:
+        if not _hermitian(herm):
             raise InvalidStateError(f"matrix is not Hermitian (residue {herm:.3e})")
     tr = matrix.trace()
-    if unit_trace and abs(tr - 1.0) > TRACE_TOL:
-        raise InvalidStateError(f"trace {tr} is not 1 within {TRACE_TOL}")
-    if not unit_trace and tr.real <= 0.0:
-        raise InvalidStateError(f"trace {tr} is not positive")
-    if floor is not None and floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR:
+    if not _trace_accepted(tr, unit_trace):
+        expected = f"1 within {TRACE_TOL}" if unit_trace else "positive"
+        raise InvalidStateError(f"trace {tr} is not {expected}")
+    if floor is not None and _above_floor(floor, _CERTIFICATE_SLACK):
         return floor, herm
     eigenvalues = np.linalg.eigvalsh(sym(matrix))
-    if eigenvalues.min() < EIGENVALUE_FLOOR:
+    if not _above_floor(eigenvalues.min()):
         raise InvalidStateError(
             f"matrix has eigenvalue {eigenvalues.min():.3e} below the floor {EIGENVALUE_FLOOR}"
         )
@@ -282,10 +301,9 @@ def _certified(image: _Image, dims: tuple[int, int], *, unit_trace: bool) -> np.
     floor bounds.  A matrix that is not certified is built the ordinary way,
     which decides and words the outcome; NaN bounds never certify."""
     tr = np.trace(image.matrix, axis1=-2, axis2=-1)
-    trace_ok = np.abs(tr - 1.0) <= TRACE_TOL if unit_trace else tr.real > 0.0
-    herm_ok = image.herm <= _CERTIFICATE_SLACK * HERMITICITY_TOL
-    floor_ok = image.floor >= _CERTIFICATE_SLACK * EIGENVALUE_FLOOR
-    return herm_ok & trace_ok & floor_ok & (max(dims) <= max_side_dim())
+    slack = _CERTIFICATE_SLACK
+    bounds = _hermitian(image.herm, slack) & _above_floor(image.floor, slack)
+    return bounds & _trace_accepted(tr, unit_trace) & (max(dims) <= max_side_dim())
 
 
 def _outer_image(vectors) -> _Image:
@@ -421,7 +439,7 @@ class PureState:
                 f"expected {self.dim_a * self.dim_b}"
             )
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise InvalidStateError(f"state vector norm {norm} is not 1 within {_NORM_TOL}")
 
     @property
@@ -435,15 +453,6 @@ class PureState:
 def _subsystem_dims(factors) -> list[int]:
     # Copy-major axis layout: [a_1 .. a_k, b_1 .. b_k].
     return [a for a, _ in factors] + [b for _, b in factors]
-
-
-def permute_subsystems(matrix: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder tensor factors of a square matrix; perm maps new slot -> old slot."""
-    n = len(dims)
-    arr = matrix.reshape(list(dims) * 2)
-    axes = list(perm) + [p + n for p in perm]
-    total = math.prod(dims)
-    return arr.transpose(axes).reshape(total, total)
 
 
 def tensor_product(x: DensityOperator, y: DensityOperator) -> DensityOperator:
@@ -578,8 +587,6 @@ def _json_loads(text: str):
     """Parse a state or channel document, every number as a float: ``-0``, as
     ``format_real`` writes -0.0, keeps its sign, and an overlong integer reads
     as inf, which the readers reject."""
-    import json
-
     return json.loads(text, parse_int=float)
 
 
@@ -594,17 +601,33 @@ def _integer(value, error: type[Exception]) -> int:
     raise error(f"dimension {value!r} is not an integer")
 
 
-def _matrix_to_json(m: np.ndarray) -> str:
-    """Row-major ``[[[re, im], ...], ...]`` with 17 significant digits."""
-    rows = []
-    for row in m:
-        cells = ",".join(f"[{format_real(v.real)},{format_real(v.imag)}]" for v in row)
-        rows.append(f"[{cells}]")
-    return "[" + ",".join(rows) + "]"
+def _json_value(value) -> str:
+    """The library's one JSON writer: reals with 17 significant digits, and a
+    complex matrix as row-major ``[[[re, im], ...], ...]`` cells."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "c" and value.ndim == 2:
+        rows = []
+        for row in value.tolist():  # Python complex numbers: the same doubles, read faster
+            cells = ",".join(f"[{format_real(v.real)},{format_real(v.imag)}]" for v in row)
+            rows.append(f"[{cells}]")
+        return "[" + ",".join(rows) + "]"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None or isinstance(value, bool):
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_real(value)
+    if isinstance(value, dict):
+        items = ",".join(f"{_json_string(str(k))}:{_json_value(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_json_value(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _matrix_from_json(raw, error: type[Exception]) -> np.ndarray:
-    """Parse the cell layout ``_matrix_to_json`` writes into a complex matrix.
+    """Parse the cell layout ``_json_value`` writes into a complex matrix.
 
     Anything else (ragged rows, cells that are not ``[re, im]`` pairs of
     numbers, non-finite parts) raises ``error``.  The real and imaginary
@@ -622,7 +645,7 @@ def _matrix_from_json(raw, error: type[Exception]) -> np.ndarray:
 
 
 def state_to_json(rho: DensityOperator) -> str:
-    return f'{{"dim_a":{rho.dim_a},"dim_b":{rho.dim_b},"matrix":{_matrix_to_json(rho.matrix)}}}'
+    return _json_value({"dim_a": rho.dim_a, "dim_b": rho.dim_b, "matrix": rho.matrix})
 
 
 def state_from_json(text: str) -> DensityOperator:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from distillery import qstate
+from distillery import hashing, qstate
 from distillery.qstate import EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, sym
 
 _VALIDATE_CODE = qstate._validate_operator.__code__
@@ -137,6 +137,13 @@ class FloorOracle:
             assert floor <= eigenvalues[0]
         self.calls.clear()
         return counts
+
+
+def compile_rounds(s_list, n):
+    """GF(2) matrices of the rounds, T (r x 2n) for the revealed bits and F
+    (2m x 2n) for the final flat bits, whose rows are ``hashing._round_masks``."""
+    masks = hashing._round_masks([s.tolist() for s in s_list], n)
+    return tuple(np.array([[v >> j & 1 for j in range(2 * n)] for v in m], np.uint8) for m in masks)
 
 
 @pytest.fixture

@@ -561,3 +561,73 @@ def test_carve_verify_memory_at_the_dimension_cap(runner):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
+
+
+# --- the one JSON writer against the writers it replaced ---------------------
+
+
+def reference_json_value(value):
+    """The command line's writer before the library had one writer; complex
+    matrices reached it as nested lists of [re, im] floats."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return qstate.format_real(float(value), 17)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ",".join(f"{json.dumps(str(k))}:{reference_json_value(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ",".join(reference_json_value(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def reference_complex_matrix_doc(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+
+
+def reference_matrix_to_json(m):
+    rows = []
+    for row in m:
+        cells = ",".join(f"[{qstate.format_real(v.real)},{qstate.format_real(v.imag)}]" for v in row)
+        rows.append(f"[{cells}]")
+    return "[" + ",".join(rows) + "]"
+
+
+def reference_channel_to_json(channel):
+    ops = ",".join(reference_matrix_to_json(k) for k in channel.kraus_ops)
+    factors = ",".join(f"[{a},{b}]" for a, b in channel.out_factors)
+    flags = (
+        f'"product_form":{str(channel.product_form).lower()},'
+        f'"trace_preserving":{str(channel.trace_preserving).lower()}'
+    )
+    return (
+        f'{{"in_dims":[{channel.in_dims[0]},{channel.in_dims[1]}],'
+        f'"out_factors":[{factors}],{flags},"provenance":{json.dumps(channel.provenance)},'
+        f'"kraus_ops":[{ops}]}}'
+    )
+
+
+def test_one_json_writer_matches_the_writers_it_replaced():
+    rng = np.random.default_rng(45)
+    signed_zeros = np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+    matrices = [signed_zeros, np.array([[complex(-0.0, -0.0)]])]
+    matrices += [rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c)) for r, c in ((3, 3), (2, 5))]
+    for m in matrices:
+        want = reference_json_value(reference_complex_matrix_doc(m))
+        assert qstate._json_value(m) == want == reference_matrix_to_json(m)
+        doc = {"x": -0.0, "n": np.int64(3), "ok": True, "none": None, "s": 'a"b', "l": [1.5, 2]}
+        assert qstate._json_value({**doc, "pi": m}) == reference_json_value(
+            {**doc, "pi": reference_complex_matrix_doc(m)}
+        )
+    for rho in (random_density_operator(2, 3, rng), bell.werner(0.7), bell.bell_state(2).density()):
+        want = f'{{"dim_a":{rho.dim_a},"dim_b":{rho.dim_b},"matrix":{reference_matrix_to_json(rho.matrix)}}}'
+        assert qstate.state_to_json(rho) == want
+    filt = locc.LocalFilter(-np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for channel in (locc.carve_pairs(8, 0.7).channel, filt):
+        assert locc.channel_to_json(channel) == reference_channel_to_json(channel)

@@ -39,6 +39,8 @@ from distillery.hashing import (
     typicality_miss_estimate,
 )
 
+from conftest import compile_rounds
+
 SKEWED = (0.9, 1 / 30, 1 / 30, 1 / 30)
 SKEWED_H = 0.6274918436613969
 
@@ -329,7 +331,7 @@ def test_compile_rounds_matches_reference():
         rng = np.random.default_rng([67, n])
         rng.choice(4, size=n, p=np.asarray(src.p))
         s_list = [draw_nonzero_bits(rng, 2 * (n - k)) for k in range(plan_yield(src, n).r)]
-        t_matrix, f_matrix = hashing._compile_rounds(s_list, n)
+        t_matrix, f_matrix = compile_rounds(s_list, n)
         assert t_matrix.dtype == f_matrix.dtype == np.uint8
         assert np.array_equal(t_matrix, ref_parity_matrix(s_list, n))
         assert np.array_equal(f_matrix, ref_final_matrix(s_list, n))
@@ -374,7 +376,7 @@ def test_nibble_matcher_matches_byte_sliced_reference():
         for trial in range(20):
             s_list = hashing._round_strings(rng, n, plan.r)
             t_masks, f_masks = hashing._round_masks(s_list, n)
-            t_matrix, f_matrix = hashing._compile_rounds([np.array(s) for s in s_list], n)
+            t_matrix, f_matrix = compile_rounds([np.array(s) for s in s_list], n)
             # parities of every candidate under each mask
             for masks, matrix in ((t_masks, t_matrix), (f_masks, f_matrix)):
                 words = hashing._predicted(typical_set.tables, masks)
@@ -574,6 +576,43 @@ def test_enumerate_typical_has_no_depth_limit():
     with pytest.raises(DecoderBudgetError) as info:
         enumerate_typical(SourceDist(SKEWED), 1200, 0.1, budget=10**4)
     assert info.value.visits == 10**4 + 1
+
+
+def test_exceeded_budgets_are_cached_like_the_uncached_path(monkeypatch):
+    # a key remembers the largest budget it exceeded, and raises the uncached
+    # path's error for any budget at or below it without walking again
+    src = SourceDist(SKEWED)
+    plan = plan_yield(src, 16)
+    n, epsilon = 16, plan.epsilon
+    visits = ref_enumerate_typical(src, n, epsilon)[2]
+    budgets = [visits // 2, visits // 4, visits // 2, visits - 1, 0, visits, visits - 1, 10 * visits]
+
+    def outcome(budget):
+        try:
+            symbols, bits, count = enumerate_typical(src, n, epsilon, budget=budget)
+            return symbols.tobytes(), bits.tobytes(), count
+        except DecoderBudgetError as exc:
+            return str(exc), exc.visits
+
+    uncached = []
+    for budget in budgets:
+        hashing._TYPICAL_CACHE.clear()
+        uncached.append(outcome(budget))
+    walks = []
+    surprisals = SourceDist.surprisals
+    monkeypatch.setattr(SourceDist, "surprisals", lambda self: walks.append(1) or surprisals(self))
+    hashing._TYPICAL_CACHE.clear()
+    assert [outcome(budget) for budget in budgets] == uncached
+    assert len(walks) == 3  # visits // 2 and visits - 1 fail, visits succeeds
+    monkeypatch.undo()
+    # whole trials, over budget or not, as with an empty cache each time
+    for budget in (visits // 2, visits):
+        hashing._TYPICAL_CACHE.clear()
+        cached = [run_hashing_trial(src, plan, [70, t], budget=budget) for t in range(6)]
+        for t, result in enumerate(cached):
+            hashing._TYPICAL_CACHE.clear()
+            assert run_hashing_trial(src, plan, [70, t], budget=budget) == result
+            assert result.budget_exceeded == (budget < visits)
 
 
 def test_typical_cache_is_bounded():

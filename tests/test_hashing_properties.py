@@ -7,8 +7,9 @@ with the round map applied to each flat basis vector in turn.
 import numpy as np
 import pytest
 
-from distillery import hashing
 from distillery.hashing import BellIndexVector, round_update
+
+from conftest import compile_rounds
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -31,7 +32,7 @@ def round_lists(draw):
 @hypothesis.given(round_lists())
 def test_compiled_rounds_equal_the_round_update_chain(case):
     s_list, n = case
-    t_matrix, f_matrix = hashing._compile_rounds(s_list, n)
+    t_matrix, f_matrix = compile_rounds(s_list, n)
     assert t_matrix.shape == (len(s_list), 2 * n)
     assert f_matrix.shape == (2 * (n - len(s_list)), 2 * n)
     for j in range(2 * n):

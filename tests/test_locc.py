@@ -146,6 +146,46 @@ def test_apply_channel_traces_out_a_copy():
         assert np.abs(out.matrix - ref.matrix).max() < 1e-13
 
 
+def reference_apply_channel(channel, rho):
+    """``apply_channel`` as it was written before it shared the branch path:
+    Python's sum of the Kraus images, through the public constructor."""
+    out = sum(op @ rho.matrix @ op.conj().T for op in channel.kraus_ops)
+    return DensityOperator(channel.out_factors, out)
+
+
+def test_apply_channel_is_the_python_sum(floor_oracle):
+    rng = np.random.default_rng(25)
+    cases = []
+    for t in range(300):  # 1 to 4 Kraus operators on 2 x 2: blocks of an isometry
+        k = 1 + t % 4
+        v = haar_unitary(4 * k, rng)[:, :4]
+        ops = tuple(v[4 * i : 4 * i + 4] for i in range(k))
+        channel = KrausChannel(ops, (2, 2), ((2, 2),), trace_preserving=True)
+        cases.append((channel, random_density_operator(2, 2, rng)))
+    # real unitaries on states with zero entries, where signed zeros can arise
+    reals = (np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]))
+    diagonal = [DensityOperator.from_matrix(np.diag(p), 2, 2) for p in ([1, 0, 0, 0], [0.5, 0, 0.5, 0])]
+    for a in reals:
+        for b in reals:
+            u = np.kron(a, b)
+            for ops in ((u,), (u / math.sqrt(2), np.eye(4) / math.sqrt(2))):
+                channel = KrausChannel(ops, (2, 2), ((2, 2),), trace_preserving=True)
+                cases += [(channel, rho) for rho in diagonal]
+    e = np.eye(2)  # partial trace over the second copy: the dimensions change
+    ops = [np.kron(np.kron(e, e[i : i + 1]), np.kron(e, e[j : j + 1])) for i in (0, 1) for j in (0, 1)]
+    trace_out = KrausChannel(tuple(ops), (4, 4), ((2, 2),), trace_preserving=True)
+    for _ in range(5):
+        pair = tensor_product(random_density_operator(2, 2, rng), random_density_operator(2, 2, rng))
+        cases.append((trace_out, pair))
+    floor_oracle.check()
+    for channel, rho in cases:
+        got, want = apply_channel(channel, rho), reference_apply_channel(channel, rho)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.factors == want.factors
+    counts = floor_oracle.check()
+    assert counts["certified"] == len(cases)
+
+
 def test_local_filter_validation():
     LocalFilter(np.eye(2), np.eye(2))
     with pytest.raises(InvalidFilterError):

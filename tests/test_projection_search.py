@@ -26,7 +26,12 @@ from distillery.bell import (
     twirl_unitaries,
     werner,
 )
-from distillery.errors import DistilleryError, InvalidStateError, ZeroProbabilityError
+from distillery.errors import (
+    DimensionMismatchError,
+    DistilleryError,
+    InvalidStateError,
+    ZeroProbabilityError,
+)
 from distillery.locc import KrausChannel, apply_selective
 from distillery.qstate import (
     EIGENVALUE_FLOOR,
@@ -309,3 +314,62 @@ def test_stacked_channel_sum_is_the_python_sum():
         branch = apply_selective(KrausChannel(ops, (2, 2), ((2, 2),)), rho).unnormalized_state
         want = sum(k @ rho.matrix @ k.conj().T for k in ops)
         assert branch.matrix.tobytes() == want.tobytes()
+
+
+def test_sampled_twirl_is_one_conjugation(floor_oracle):
+    # the drawn unitary goes through the exact twirl's image path; the
+    # reference is the conjugation through the public constructor
+    rng = np.random.default_rng(33)
+    inputs = list(twirl_inputs(rng))
+    floor_oracle.check()
+    unitaries = twirl_unitaries()
+    for i, rho in enumerate(inputs * 3):
+        seed = None if i < len(inputs) else i
+        v = unitaries[int(np.random.default_rng(0 if seed is None else seed).integers(0, 12))]
+        want = outcome_of(DensityOperator, rho.factors, v @ rho.matrix @ v.conj().T)
+        got = outcome_of(twirl, rho, "sampled", seed)
+        if want[1] is not None:
+            assert got == want
+            continue
+        assert got[0].matrix.tobytes() == want[0].matrix.tobytes()
+    counts = floor_oracle.check()
+    assert counts["certified"] > 100
+
+
+def reference_range_isometry(projector, dim, name):
+    """The per-pair projector checks as they were written before they shared
+    the stacked checks."""
+    p = np.asarray(projector, dtype=complex)
+    if p.shape != (dim, dim):
+        raise DimensionMismatchError(f"{name} has shape {p.shape}, expected ({dim}, {dim})")
+    if np.abs(p - p.conj().T).max() > 1e-9:
+        raise InvalidStateError(f"{name} is not Hermitian")
+    if np.abs(p @ p - p).max() > 1e-9:
+        raise InvalidStateError(f"{name} is not idempotent within 1e-09")
+    eigenvalues, vectors = np.linalg.eigh((p + p.conj().T) / 2)
+    keep = eigenvalues > 0.5
+    if int(keep.sum()) != 2:
+        raise InvalidStateError(f"{name} must have rank 2, got rank {int(keep.sum())}")
+    return vectors[:, keep]
+
+
+def test_range_isometry_keeps_the_per_pair_checks():
+    rng = np.random.default_rng(34)
+    for t in range(300):
+        d = 2 + t % 4
+        u = reference_haar(d, rng)[:, :2]
+        got = bell._range_isometry(u @ u.conj().T, d, "pi_a")
+        want = reference_range_isometry(u @ u.conj().T, d, "pi_a")
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    failing = (
+        np.eye(2),  # shape
+        skewed(),  # not Hermitian
+        skewed() + skewed().conj().T,  # Hermitian, not idempotent
+        diagonal_projector(1, 0, 0.9),  # not idempotent
+        diagonal_projector(1, 0, 0),  # rank 1
+        diagonal_projector(1, 1, 1),  # rank 3
+        diagonal_projector(0, 0, 0),  # rank 0
+    )
+    for p in failing:
+        got = outcome_of(bell._range_isometry, p, 3, "pi_b")
+        assert got[0] is None and got == outcome_of(reference_range_isometry, p, 3, "pi_b")

@@ -11,11 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from distillery.bell import project_to_qubits, twirl, werner
 from distillery.errors import (
     DimensionCapError,
     DimensionMismatchError,
+    InvalidChannelError,
+    InvalidFilterError,
     InvalidStateError,
 )
+from distillery.locc import KrausChannel, LocalFilter, apply_channel
 from distillery.qstate import (
     HERMITICITY_TOL,
     DensityOperator,
@@ -26,7 +30,6 @@ from distillery.qstate import (
     max_side_dim,
     partial_trace,
     partial_transpose,
-    permute_subsystems,
     state_from_json,
     state_to_json,
     tensor_product,
@@ -199,16 +202,6 @@ def test_fidelity_pure_domain():
     assert abs(fidelity_pure(psi, maximally_mixed(2, 2)) - 0.25) < 1e-12
     with pytest.raises(DimensionMismatchError):
         fidelity_pure(psi, maximally_mixed(2, 3))
-
-
-def test_permute_subsystems_roundtrip():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    dims = [2, 3, 2]
-    perm = (2, 0, 1)
-    inverse = (1, 2, 0)
-    back = permute_subsystems(permute_subsystems(m, dims, perm), [dims[p] for p in perm], inverse)
-    assert np.abs(back - m).max() == 0.0
 
 
 def test_unnormalized_operator_weight():
@@ -467,11 +460,45 @@ def test_library_results_run_no_dense_spectrum(dense_spectra):
 
     purify_step_exact(two_werner_pairs(0.8))
     assert dense_spectra.dense == 0
+    rho = werner(0.8)
+    for seed in range(12):
+        twirl(rho, mode="sampled", seed=seed)
+    u = np.kron(haar_unitary(2, np.random.default_rng(1)), np.eye(2))
+    apply_channel(KrausChannel((u / 2, u * math.sqrt(0.75)), (2, 2), ((2, 2),), trace_preserving=True), rho)
+    assert dense_spectra.dense == 0
     result = CliRunner().invoke(main, ["carve", "--d", "40", "--omega", "0.99", "--verify"])
     assert result.exit_code == 0
     assert dense_spectra.dense == 0
     DensityOperator.from_matrix(np.eye(4) / 4, 2, 2)
     assert dense_spectra.dense == 1
+
+
+_NAN_MATRIX = np.eye(4, dtype=complex) / 4
+_NAN_MATRIX[1, 2] = _NAN_MATRIX[2, 1] = np.nan
+_NAN_FILTER = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_NAN_PROJECTOR = np.diag([1.0, 1.0, np.nan])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: PureState(2, 2, [np.nan, 0, 0, 1]), InvalidStateError),
+        (lambda: DensityOperator.from_matrix(_NAN_MATRIX, 2, 2), InvalidStateError),
+        (lambda: UnnormalizedOperator(((2, 2),), _NAN_MATRIX), InvalidStateError),
+        (lambda: KrausChannel((_NAN_MATRIX,), (2, 2), ((2, 2),)), InvalidChannelError),
+        (lambda: LocalFilter(_NAN_FILTER, np.eye(2)), InvalidFilterError),
+        (lambda: LocalFilter(np.eye(2), _NAN_FILTER, normalized=False), InvalidFilterError),
+        (
+            lambda: project_to_qubits(
+                DensityOperator.from_matrix(np.eye(9) / 9, 3, 3), np.diag([1.0, 1.0, 0.0]), _NAN_PROJECTOR
+            ),
+            InvalidStateError,
+        ),
+    ],
+)
+def test_non_finite_input_raises_the_documented_error(build, error):
+    with np.errstate(invalid="ignore"), pytest.raises(error):
+        build()
 
 
 # --- certified Hermiticity bounds against the dense residue ------------------
