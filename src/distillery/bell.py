@@ -130,10 +130,13 @@ class BellProbs:
         object.__setattr__(self, "p", values)
         if len(values) != 4:
             raise InvalidStateError(f"need four Bell weights, got {len(values)}")
-        if min(values) < -1e-12:
+        # accept form, so a NaN never passes
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidStateError(f"non-finite Bell weight in {values}")
+        if not min(values) >= -1e-12:
             raise InvalidStateError(f"negative Bell weight {min(values)}")
         total = sum(values)
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise InvalidStateError(f"Bell weights sum to {total}, not 1")
 
     @property

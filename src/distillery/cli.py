@@ -41,7 +41,7 @@ def _write_file(path: str, text: str) -> None:
 def _emit(text: str, out: str | None = None) -> None:
     """Print ``text``, or write it to the file ``out`` unless that is ``-``."""
     if out is None or out == "-":
-        click.echo(text)
+        click.echo(text, file=sys.stdout)
     else:
         _write_file(out, text)
 
@@ -52,7 +52,7 @@ def _csv_real(x: float) -> str:
 
 def _fail(code: str, message: str) -> None:
     line = qstate._json_value({"error_code": code, "message": message})
-    click.echo(line, err=True)
+    click.echo(line, file=sys.stderr)
     sys.exit(1)
 
 
@@ -208,10 +208,7 @@ def cmd_hashing_simulate(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
 
-    results = [
-        hashing.run_hashing_trial(src, plan, [seed, trial], budget=budget)
-        for trial in range(trials)
-    ]
+    results = hashing._run_trials(src, plan, [[seed, trial] for trial in range(trials)], budget)
     failures = sum(1 for t in results if not t.success)
     miss = hashing._wilson_estimate(sum(1 for t in results if not t.typical), trials)
     bound = hashing.failure_bound(src, plan, miss.q_hat)

@@ -8,10 +8,11 @@ we call it the amplitude bit.  Each round consumes one pair and reveals one
 parity of the surviving description, exactly the linear-algebra shadow of the
 bilateral-CNOT measurement network.
 
-A trial draws its r parity strings in one generator call.  The round map is
-GF(2)-linear, so it runs once on Python-int masks, each pair's bits held as
-the set of input flat bits they are the XOR of; the revealed and final bits
-of the truth, every candidate and the fallback are products with the masks.
+A trial draws its n symbols and then its r parity strings, each in one
+generator call.  The round map is GF(2)-linear, so it runs once on Python-int
+masks, each pair's bits held as the set of input flat bits they are the XOR
+of; the revealed and final bits of the truth, every candidate and the
+fallback are products with the masks.
 
 Decoding enumerates the closed typicality window
 |-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
@@ -22,6 +23,12 @@ mask gives its parities.  A trial succeeds when every surviving candidate
 agrees with the truth about the final (unmeasured) pairs; when nothing
 survives, an arbitrary fallback sequence is decoded and almost always counts
 as failure.
+
+The trials of one call run as stacked numpy calls over chunks of a fixed
+number of trials, so memory is bounded by the chunk whatever the trial count.
+Each trial draws from its own generator and runs the round map on its own
+masks; the parity match, the readout of the survivors' final bits and the
+success test run once per chunk.  No outcome depends on the chunking.
 """
 
 from __future__ import annotations
@@ -66,10 +73,13 @@ _SUM_TOL = 1e-12
 def shannon_entropy(p) -> float:
     """Base-2 entropy of a probability vector; zero entries contribute zero."""
     values = [float(v) for v in p]
-    if min(values) < -_SUM_TOL:
+    # accept form, so a NaN never passes
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidDistributionError(f"non-finite probability in {values}")
+    if not min(values) >= -_SUM_TOL:
         raise InvalidDistributionError(f"negative probability {min(values)}")
     total = sum(values)
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise InvalidDistributionError(f"probabilities sum to {total}, not 1")
     acc = 0.0
     for v in values:
@@ -363,10 +373,11 @@ def enumerate_typical(
         if isinstance(cached, _TypicalSet) or budget <= cached:
             raise _over_budget(budget)
 
-    surprisal = src.surprisals()
-    symbols = np.array([k for k in range(4) if not math.isinf(surprisal[k])], dtype=np.uint8)
-    steps = np.array([surprisal[k] for k in symbols])
-    min_s, max_s = float(steps.min()), float(steps.max())
+    # Every node has four child slots, one per symbol; a zero-weight symbol's
+    # slot has an infinite total, so it is never alive and never visited.
+    steps = np.array(src.surprisals())
+    finite = steps[np.isfinite(steps)]
+    min_s, max_s = float(finite.min()), float(finite.max())
     lo = n * (src.h - epsilon)
     hi = n * (src.h + epsilon)
     totals = np.zeros(1)  # surprisal sums of the current level, left to right
@@ -384,18 +395,17 @@ def enumerate_typical(
         if depth == n:
             break
         expanded.append(alive.nonzero()[0])
-        visits += expanded[-1].size * symbols.size
+        visits += expanded[-1].size * finite.size
         if visits <= budget:  # never allocate a level the budget does not cover
             totals = (totals[expanded[-1], None] + steps).reshape(-1)
 
-    # Child j of a level descends from node j // S of the level above
-    # through symbol j % S; walk the leaves back to the root.
+    # Slot j of a level descends from node j >> 2 of the level above through
+    # symbol j & 3; walk the leaves back to the root.
     node = np.flatnonzero(alive & (np.abs(totals / n - src.h) <= epsilon))
     walk = np.empty((n, node.size), dtype=np.uint8)
     for depth in range(n - 1, -1, -1):
-        parent = node // symbols.size  # integer //, unlike %, is cheap in numpy
-        walk[depth] = symbols[node - parent * symbols.size]
-        node = expanded[depth][parent]
+        walk[depth] = node & 3
+        node = expanded[depth][node >> 2]
     syms = np.ascontiguousarray(walk.T)
     result = _TypicalSet((syms, _flat_bits(syms), visits))
     result.tables = _subset_tables(walk)
@@ -418,6 +428,11 @@ class HashingTrialResult:
     budget_exceeded: bool
 
 
+# The trials of one call run as stacked calls over chunks of at most this many,
+# so memory is bounded by the chunk whatever the trial count.
+_TRIAL_CHUNK = 32
+
+
 def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
     """The 0/1 parity strings of r rounds on n pairs, all-zero ones redrawn, with the
     bits (and final generator state) of one ``rng.integers(0, 2, size=L, dtype=np.uint8)``
@@ -438,24 +453,142 @@ def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
     return strings
 
 
+def _choice_cdf(p) -> np.ndarray:
+    """The cdf that ``Generator.choice`` forms from the weights ``p``."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
+    """``rng.choice(len(cdf), size=n, p=p)`` for the weights p of ``cdf = _choice_cdf(p)``:
+    choice draws n doubles and looks each up in that cdf, so this gives the same symbols
+    and generator state without choice's per-call checks of p."""
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 def _predicted(tables: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Packed parity rows: bit c of row k is masks[k] . candidate c, by nibble lookups."""
-    raw = np.frombuffer(b"".join(v.to_bytes(len(tables), "little") for v in masks), np.uint8)
-    nibbles = np.stack((raw & 15, raw >> 4), axis=-1).reshape(len(masks), -1)[:, : len(tables)]
-    return np.bitwise_xor.reduce(tables[np.arange(len(tables)), nibbles], axis=1)
+    """Packed parity rows: bit c of row k is masks[k] . candidate c, by nibble lookups.
+
+    One gather per group of four flat bits, XORed into the rows, so the work
+    holds one row per mask at a time."""
+    groups = len(tables)
+    raw = np.frombuffer(b"".join(v.to_bytes(groups, "little") for v in masks), np.uint8)
+    nibbles = np.stack((raw & 15, raw >> 4), axis=-1).reshape(len(masks), -1)[:, :groups]
+    index = nibbles + 16 * np.arange(groups)
+    lookup = tables.reshape(16 * groups, -1)
+    rows = lookup[index[:, 0]]
+    for g in range(1, groups):
+        rows ^= lookup[index[:, g]]
+    return rows
 
 
-def _matching(tables: np.ndarray, count: int, t_masks: list[int], parity_bits) -> np.ndarray:
-    """Indices of the candidates whose parities under the round masks are the revealed bits."""
-    flips = -np.array(parity_bits, dtype=np.uint64)[:, None]  # all ones where a bit is 1
-    mismatch = np.bitwise_or.reduce(_predicted(tables, t_masks) ^ flips, axis=0).view(np.uint8)
-    return np.flatnonzero(np.unpackbits(mismatch, count=count, bitorder="little") == 0)
+def _matching(
+    tables: np.ndarray, count: int, t_masks: list[list[int]], parity_bits: list[list[int]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(trial, candidate) index pairs, in order, of the candidates whose parities under
+    each trial's round masks are its revealed bits; one list of each per trial."""
+    flips = -np.array(parity_bits, dtype=np.uint64)[..., None]  # all ones where a bit is 1
+    predicted = _predicted(tables, [mask for masks in t_masks for mask in masks])
+    predicted = predicted.reshape(flips.shape[:2] + (-1,))
+    predicted ^= flips
+    mismatch = np.bitwise_or.reduce(predicted, axis=1).view(np.uint8)
+    return np.nonzero(np.unpackbits(mismatch, axis=1, count=count, bitorder="little") == 0)
 
 
-def _parities(masks: list[int], bits: np.ndarray) -> list[int]:
-    """GF(2) products of each mask with the 0/1 flat bit string ``bits``."""
-    x = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+def _flat_ints(symbols: np.ndarray) -> list[int]:
+    """Each row of a symbol matrix as an int whose bit j is flat bit j of the row."""
+    packed = np.packbits(_flat_bits(symbols), axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _parities(masks: list[int], x: int) -> list[int]:
+    """GF(2) products of each mask with the flat bit string held in the int ``x``."""
     return [(mask & x).bit_count() & 1 for mask in masks]
+
+
+def _run_trials(
+    src: SourceDist, plan: YieldPlan, seeds: list, budget: int = DEFAULT_DECODER_BUDGET
+) -> list[HashingTrialResult]:
+    """One ``run_hashing_trial`` per seed, in order, as stacked calls over chunks of
+    at most ``_TRIAL_CHUNK`` trials.
+
+    Each trial draws from its own ``default_rng(seed)`` in one order, the
+    symbols and then the round strings, and runs the round map on its own
+    masks; the parity match against the typical set's tables, the final
+    readout of the survivors and the success test run once per chunk, so no
+    outcome depends on the chunking.
+    """
+    if abs(plan.h - src.h) > 1e-12:
+        raise DimensionMismatchError(
+            f"plan entropy {plan.h} does not match source entropy {src.h}"
+        )
+    n, r = plan.n, plan.r
+    typical_set = None
+    try:
+        typical_set = enumerate_typical(src, n, plan.epsilon, budget=budget)
+    except DecoderBudgetError as exc:
+        visits = exc.visits
+    else:
+        visits = typical_set[2]
+    cdf = _choice_cdf(src.p)
+    # Nothing matched (or nothing was typical): decode an arbitrary sequence,
+    # which only counts as success by coincidence.
+    best = max(range(4), key=lambda k: (src.p[k], -k))
+    fallback = _flat_ints(np.full((1, n), best))[0]
+
+    results = []
+    for start in range(0, len(seeds), _TRIAL_CHUNK):
+        chunk = seeds[start : start + _TRIAL_CHUNK]
+        symbols = np.empty((len(chunk), n), dtype=np.intp)
+        rounds = []
+        for row, seed in zip(symbols, chunk):
+            rng = np.random.default_rng(seed)
+            row[:] = _draw_symbols(rng, cdf, n)
+            rounds.append(_round_masks(_round_strings(rng, n, r), n))
+        revealed, finals = [], []
+        for (t_masks, f_masks), x in zip(rounds, _flat_ints(symbols)):
+            revealed.append(_parities(t_masks, x))
+            finals.append(_parities(f_masks, x))
+
+        trial = candidate = np.empty(0, dtype=np.intp)
+        if typical_set is not None:
+            trial, candidate = _matching(
+                typical_set.tables, len(typical_set[0]), [t for t, _ in rounds], revealed
+            )
+        matched = np.bincount(trial, minlength=len(chunk))
+        first = np.searchsorted(trial, np.arange(len(chunk)))
+        if trial.size:
+            # each survivor's final bits, read off the packed rows of its trial's masks
+            f_rows = _predicted(typical_set.tables, [m for _, f in rounds for m in f])
+            f_rows = f_rows.reshape(len(chunk), -1, f_rows.shape[-1])
+            words = f_rows[trial, :, candidate >> 6]
+            survivor_finals = (words >> (candidate & 63).astype(np.uint64)[:, None]) & 1
+            wrong = (survivor_finals != np.array(finals)[trial]).any(axis=1)
+            misdecoded = np.bincount(trial[wrong], minlength=len(chunk))
+
+        for k in range(len(chunk)):
+            sampled = tuple(symbols[k].tolist())
+            if matched[k]:
+                decoded_final = survivor_finals[first[k]]
+                success = not misdecoded[k]
+            else:
+                decoded_final = _parities(rounds[k][1], fallback)
+                success = decoded_final == finals[k] and typical_set is not None
+            results.append(
+                HashingTrialResult(
+                    sampled=sampled,
+                    parity_bits=tuple(revealed[k]),
+                    true_final=BellIndexVector.from_bits(finals[k]),
+                    decoded_final=BellIndexVector.from_bits(decoded_final),
+                    success=success,
+                    typical=is_typical(sampled, src, plan.epsilon),
+                    parities_matched=int(matched[k]),
+                    candidates_visited=visits,
+                    budget_exceeded=typical_set is None,
+                )
+            )
+    return results
 
 
 def run_hashing_trial(
@@ -470,53 +603,7 @@ def run_hashing_trial(
     (master_seed, trial_index) sequences so partitioning trials across
     workers cannot change any individual outcome.
     """
-    if abs(plan.h - src.h) > 1e-12:
-        raise DimensionMismatchError(
-            f"plan entropy {plan.h} does not match source entropy {src.h}"
-        )
-    n, r = plan.n, plan.r
-    rng = np.random.default_rng(seed)
-    draw = rng.choice(4, size=n, p=np.asarray(src.p))
-    sampled = tuple(draw.tolist())
-    t_masks, f_masks = _round_masks(_round_strings(rng, n, r), n)
-    x0 = _flat_bits(draw)
-    parity_bits, true_final = _parities(t_masks, x0), _parities(f_masks, x0)
-    typical = is_typical(sampled, src, plan.epsilon)
-
-    budget_exceeded = False
-    survivors = np.empty(0, dtype=np.intp)
-    try:
-        typical_set = enumerate_typical(src, n, plan.epsilon, budget=budget)
-    except DecoderBudgetError as exc:
-        visits = exc.visits
-        budget_exceeded = True
-    else:
-        _, cand_bits, visits = typical_set
-        survivors = _matching(typical_set.tables, len(cand_bits), t_masks, parity_bits)
-
-    if survivors.size:
-        words = _predicted(typical_set.tables, f_masks).view(np.uint8)
-        finals = np.unpackbits(words, axis=1, bitorder="little")[:, survivors].T
-        decoded_final = finals[0]
-        success = bool((finals == true_final).all())
-    else:
-        # Nothing matched (or nothing was typical): decode an arbitrary
-        # sequence, which only counts as success by coincidence.
-        best = max(range(4), key=lambda k: (src.p[k], -k))
-        decoded_final = _parities(f_masks, BellIndexVector((best,) * n).to_bits())
-        success = decoded_final == true_final and not budget_exceeded
-
-    return HashingTrialResult(
-        sampled=sampled,
-        parity_bits=tuple(parity_bits),
-        true_final=BellIndexVector.from_bits(true_final),
-        decoded_final=BellIndexVector.from_bits(decoded_final),
-        success=success,
-        typical=typical,
-        parities_matched=int(survivors.size),
-        candidates_visited=visits,
-        budget_exceeded=budget_exceeded,
-    )
+    return _run_trials(src, plan, [seed], budget)[0]
 
 
 @dataclass(frozen=True)

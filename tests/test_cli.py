@@ -4,6 +4,7 @@ Commands are exercised through click's in-process runner; outputs are parsed
 back and compared against the library they wrap.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -561,6 +562,29 @@ def test_carve_verify_memory_at_the_dimension_cap(runner):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20, peak
+
+
+def test_in_process_calls_leave_no_objects_behind(runner):
+    # click caches a wrapper per stream it echoes to by default, and the
+    # wrapper keeps its key alive, so each in-process call once left its
+    # captured streams behind (about seven objects a call)
+    calls = [
+        (_HASHING + ["--p3", "0.03", "--trials", "3"], 0),
+        (["carve", "--d", "8", "--omega", "0.5"], 0),
+        (["carve", "--d", "8", "--omega", "7"], 1),
+    ]
+
+    def run(count):
+        for i in range(count):
+            args, code = calls[i % len(calls)]
+            assert runner.invoke(main, args).exit_code == code
+
+    run(30)
+    gc.collect()
+    before = len(gc.get_objects())
+    run(300)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 300
 
 
 # --- the one JSON writer against the writers it replaced ---------------------

@@ -16,13 +16,16 @@ import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from distillery import hashing
+from distillery import cli, hashing
+from distillery.bell import BellProbs
 from distillery.errors import (
     DecoderBudgetError,
     DimensionMismatchError,
     EntropyTooHighError,
     InvalidDistributionError,
+    InvalidStateError,
 )
 from distillery.hashing import (
     BellIndexVector,
@@ -373,6 +376,7 @@ def test_nibble_matcher_matches_byte_sliced_reference():
         _, bits, _ = typical_set
         packed = np.packbits(bits.T, axis=1)
         rng = np.random.default_rng([69, n])
+        stacked_masks, stacked_bits, wanted = [], [], []
         for trial in range(20):
             s_list = hashing._round_strings(rng, n, plan.r)
             t_masks, f_masks = hashing._round_masks(s_list, n)
@@ -387,10 +391,15 @@ def test_nibble_matcher_matches_byte_sliced_reference():
                 parity_bits = ((t_matrix @ bits[rng.integers(len(bits))]) & 1).tolist()
             else:
                 parity_bits = rng.integers(0, 2, size=plan.r).tolist()
-            got = hashing._matching(typical_set.tables, len(bits), t_masks, parity_bits)
-            want = ref_matching(packed, len(bits), t_matrix, parity_bits)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            survivors += got.size
+            stacked_masks.append(t_masks)
+            stacked_bits.append(parity_bits)
+            wanted.append(ref_matching(packed, len(bits), t_matrix, parity_bits))
+        # the trials of a chunk are matched in one call
+        trial, got = hashing._matching(typical_set.tables, len(bits), stacked_masks, stacked_bits)
+        assert np.array_equal(trial, np.repeat(np.arange(20), [w.size for w in wanted]))
+        want = np.concatenate(wanted)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        survivors += got.size
     assert survivors > 0
 
 
@@ -649,6 +658,93 @@ def test_run_hashing_trial_matches_reference():
     assert min(paths.values()) > 0, paths
 
 
+def test_stacked_trials_match_the_one_trial_reference(monkeypatch):
+    # One call runs its trials in chunks; trial counts around the chunk size
+    # put the decoded, fallback, empty-set and budget-exceeded paths across a
+    # chunk boundary.  The reference enumerates once per key, not per trial.
+    memo, enumerate_ref = {}, ref_enumerate_typical
+
+    def enumerate_once(src, n, epsilon, budget=hashing.DEFAULT_DECODER_BUDGET):
+        key = (src.p, n, epsilon, budget)
+        if key not in memo:
+            try:
+                memo[key] = enumerate_ref(src, n, epsilon, budget)
+            except DecoderBudgetError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], DecoderBudgetError):
+            raise memo[key]
+        return memo[key]
+
+    monkeypatch.setitem(globals(), "ref_enumerate_typical", enumerate_once)
+    chunk = hashing._TRIAL_CHUNK
+    zero_weight = SourceDist((0.9, 0.05, 0.05, 0.0))
+    cases = [(SourceDist(SKEWED), n) for n in (4, 8, 16, 24)] + [(zero_weight, n) for n in (8, 16)]
+    paths = {"decoded": 0, "fallback": 0, "empty": 0, "budget": 0}
+    for src, n in cases:
+        plan = plan_yield(src, n)
+        for budget in (hashing.DEFAULT_DECODER_BUDGET, 40):
+            seeds = [[71, n, trial] for trial in range(chunk + 1)]
+            results = hashing._run_trials(src, plan, seeds, budget)
+            for res, seed in zip(results, seeds):
+                ref = ref_run_hashing_trial(src, plan, seed, budget=budget)
+                for field in dataclasses.fields(res):
+                    assert getattr(res, field.name) == getattr(ref, field.name), field.name
+            for count in (chunk - 1, chunk):
+                assert hashing._run_trials(src, plan, seeds[:count], budget) == results[:count]
+            for res in results[chunk - 1 : chunk + 1]:
+                if res.budget_exceeded:
+                    paths["budget"] += 1
+                elif res.parities_matched:
+                    paths["decoded"] += 1
+                else:
+                    empty = len(enumerate_typical(src, n, plan.epsilon)[0]) == 0
+                    paths["empty" if empty else "fallback"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_simulate_csv_is_the_one_trial_loop():
+    raw = ("0.9", "0.0333", "0.0333", "0.0334")
+    floats = [float(v) for v in raw]
+    src = SourceDist(tuple(v / sum(floats) for v in floats))
+    plan = plan_yield(src, 24)
+    chunk = hashing._TRIAL_CHUNK
+    for trials in (chunk - 1, chunk, chunk + 1):
+        args = ["hashing", "simulate", "--n", "24", "--p0", raw[0], "--p1", raw[1]]
+        args += ["--p2", raw[2], "--p3", raw[3], "--trials", str(trials), "--seed", "72"]
+        result = CliRunner().invoke(cli.main, args + ["--out", "csv"])
+        assert result.exit_code == 0, result.output
+        lines = ["trial,success,typical,parities_matched,candidates_visited"]
+        for i in range(trials):
+            t = run_hashing_trial(src, plan, [72, i])
+            row = (i, int(t.success), int(t.typical), t.parities_matched, t.candidates_visited)
+            lines.append(",".join(map(str, row)))
+        assert result.stdout == "\n".join(lines) + "\n"
+
+
+def test_draw_symbols_is_rng_choice():
+    # the same symbols and the same generator state as Generator.choice
+    weights = [
+        SKEWED, (0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0),
+        (0.0, 0.3, 0.7, 0.0), (0.25,) * 4, (0.0, 0.0, 0.0, 1.0),
+    ]  # fmt: skip
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        p = rng.dirichlet(np.ones(4)) * (rng.random(4) < 0.7)
+        if p.sum() > 0:
+            weights.append(tuple(p / p.sum()))
+    for k, p in enumerate(weights):
+        cdf = hashing._choice_cdf(p)
+        for n in (1, 5, 24, 100):
+            ours = np.random.default_rng([73, k, n])
+            theirs = np.random.default_rng([73, k, n])
+            got = hashing._draw_symbols(ours, cdf, n)
+            want = theirs.choice(4, size=n, p=np.asarray(p))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not np.isin(want, np.flatnonzero(np.asarray(p) == 0)).any()
+            draw = (0, 2**32, 7)
+            assert np.array_equal(ours.integers(*draw, dtype=np.uint32), theirs.integers(*draw, dtype=np.uint32))
+
+
 def test_run_hashing_trial_pure_source():
     pure = SourceDist((1.0, 0.0, 0.0, 0.0))
     plan = plan_yield(pure, 8)
@@ -783,3 +879,14 @@ def test_source_dist_rejects_non_finite_weights():
             p[slot] = bad
             with pytest.raises(InvalidDistributionError):
                 SourceDist(tuple(p))
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bell_weights_and_entropy_reject_non_finite_values(slot, bad):
+    p = [0.5, 0.5, 0.0, 0.0]
+    p[slot] = bad
+    with pytest.raises(InvalidStateError):
+        BellProbs(tuple(p))
+    with pytest.raises(InvalidDistributionError):
+        shannon_entropy(p)
