@@ -33,7 +33,8 @@ def _read_file(path: str) -> str:
 def _write_file(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     except OSError as exc:
         raise FileAccessError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -142,7 +143,7 @@ def cmd_check(path, out) -> None:
 @click.option("--in", "path", type=str, required=True)
 @click.option("--out", type=str, default=None, help="Output path (default stdout).")
 @click.option("--mode", type=click.Choice(["exact", "sampled"]), default="exact")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_twirl(path, out, mode, seed) -> None:
     """Twirl a two-qubit state to Werner form (or sample one protocol member)."""
     rho = _load_state(path)
@@ -182,7 +183,7 @@ def cmd_hashing() -> None:
 @click.option("--epsilon", type=float, default=None, help="Override the window width.")
 @click.option("--r", "rounds", type=int, default=None, help="Override the round count.")
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--budget", type=int, default=hashing.DEFAULT_DECODER_BUDGET, show_default=True)
 @click.option(
     "--out",
@@ -208,17 +209,23 @@ def cmd_hashing_simulate(
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
 
-    results = hashing._run_trials(src, plan, [[seed, trial] for trial in range(trials)], budget)
-    failures = sum(1 for t in results if not t.success)
-    miss = hashing._wilson_estimate(sum(1 for t in results if not t.typical), trials)
+    # The counts and the CSV text are kept, one block of lines per chunk of trials.
+    seeds = ([seed, trial] for trial in range(trials))
+    failures = misses = done = 0
+    csv_blocks = ["trial,success,typical,parities_matched,candidates_visited"]
+    for chunk in hashing._run_trials(src, plan, seeds, budget):
+        failures += int(np.count_nonzero(~chunk.success))
+        misses += int(np.count_nonzero(~chunk.typical))
+        rows = zip(chunk.success.tolist(), chunk.typical.tolist(), chunk.parities_matched.tolist())
+        visits = chunk.candidates_visited
+        csv_blocks.append(
+            "\n".join(f"{i},{s:d},{t:d},{m},{visits}" for i, (s, t, m) in enumerate(rows, done))
+        )
+        done += len(chunk.success)
+    miss = hashing._wilson_estimate(misses, trials)
     bound = hashing.failure_bound(src, plan, miss.q_hat)
 
-    csv_lines = ["trial,success,typical,parities_matched,candidates_visited"]
-    for i, t in enumerate(results):
-        csv_lines.append(
-            f"{i},{int(t.success)},{int(t.typical)},{t.parities_matched},{t.candidates_visited}"
-        )
-    csv_text = "\n".join(csv_lines)
+    csv_text = "\n".join(csv_blocks)
     if trials_out is not None:
         _write_file(trials_out, csv_text)
 
@@ -268,7 +275,7 @@ def cmd_carve(dim, omega, verify) -> None:
 @main.command("search-projection")
 @click.option("--in", "path", type=str, required=True)
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def cmd_search_projection(path, trials, seed) -> None:
     """Randomized local rank-2 projection search; reports the best witness."""
     rho = _load_state(path)

@@ -9,10 +9,10 @@ parity of the surviving description, exactly the linear-algebra shadow of the
 bilateral-CNOT measurement network.
 
 A trial draws its n symbols and then its r parity strings, each in one
-generator call.  The round map is GF(2)-linear, so it runs once on Python-int
-masks, each pair's bits held as the set of input flat bits they are the XOR
-of; the revealed and final bits of the truth, every candidate and the
-fallback are products with the masks.
+generator call.  The round map is GF(2)-linear, so it runs once on masks,
+each pair's bits held as the set of input flat bits they are the XOR of; the
+revealed and final bits of the truth, every candidate and the fallback are
+products with the masks.
 
 Decoding enumerates the closed typicality window
 |-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
@@ -26,16 +26,25 @@ as failure.
 
 The trials of one call run as stacked numpy calls over chunks of a fixed
 number of trials, so memory is bounded by the chunk whatever the trial count.
-Each trial draws from its own generator and runs the round map on its own
-masks; the parity match, the readout of the survivors' final bits and the
-success test run once per chunk.  No outcome depends on the chunking.
+Each trial draws from its own generator.  When 2n <= 64 a mask is one uint64
+word, and the trials of a chunk share one lock-step round map on (trials,
+pairs) arrays, a few whole-array calls a round.  Wider masks run the scalar
+round map ``_apply_round`` per trial on Python ints, as ``round_update``
+does: a multi-word lock-step, which touches every word of every pair each
+round, ran about four times slower than this int loop on 2 trials at n = 2000.
+Both feed one readout: the parity match, the true and surviving final bits,
+typicality and the success test run once per chunk, as arrays.  No outcome
+depends on the chunking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import OrderedDict
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -309,9 +318,18 @@ def is_typical(x, src: SourceDist, epsilon: float) -> bool:
     return abs(total / n - src.h) <= epsilon
 
 
+class _Candidates(NamedTuple):
+    """A cached typical set: its (C, n) symbol matrix, the search-tree nodes visited, and
+    ``tables[g, v]``, which packs, 64 to a word, the XOR over each candidate's flat bits
+    4g + b for the bits b set in v."""
+
+    symbols: np.ndarray
+    visits: int
+    tables: np.ndarray
+
+
 class _TypicalSet(tuple):
-    """(symbols, bits, visits) with ``tables``: ``tables[g, v]`` packs, 64 to a word, the
-    XOR over each candidate's flat bits 4g + b for the bits b set in v."""
+    """``enumerate_typical``'s (symbols, bits, visits), with the cached ``tables``."""
 
     tables: np.ndarray
 
@@ -330,10 +348,10 @@ def _subset_tables(walk: np.ndarray) -> np.ndarray:
 
 
 # Recent enumerations only: a sweep over many sources would otherwise keep
-# every one for the life of the process (~240 KB each at n = 24).  A key holds
+# every one for the life of the process (~120 KB each at n = 24).  A key holds
 # its typical set, or the largest budget that it exceeded.
 _TYPICAL_CACHE_SIZE = 4
-_TYPICAL_CACHE: OrderedDict[tuple, _TypicalSet | int] = OrderedDict()
+_TYPICAL_CACHE: OrderedDict[tuple, _Candidates | int] = OrderedDict()
 
 
 def _remember(key, entry) -> None:
@@ -360,6 +378,14 @@ def enumerate_typical(
     every budget below its visits and none above; recent outcomes, sets and
     exceeded budgets alike, are cached per (source, n, epsilon).
     """
+    found = _typical_set(src, n, epsilon, budget)
+    result = _TypicalSet((found.symbols, _flat_bits(found.symbols), found.visits))
+    result.tables = found.tables
+    return result
+
+
+def _typical_set(src: SourceDist, n: int, epsilon: float, budget: int) -> _Candidates:
+    """``enumerate_typical`` without the bit flattening, which only its callers read."""
     n = int(n)
     if n < 1 or budget < 0:
         raise DimensionMismatchError(f"need n >= 1 and budget >= 0, got n={n}, budget={budget}")
@@ -368,9 +394,9 @@ def enumerate_typical(
     cached = _TYPICAL_CACHE.get(key)
     if cached is not None:
         _TYPICAL_CACHE.move_to_end(key)
-        if isinstance(cached, _TypicalSet) and cached[2] <= budget:
+        if isinstance(cached, _Candidates) and cached.visits <= budget:
             return cached
-        if isinstance(cached, _TypicalSet) or budget <= cached:
+        if isinstance(cached, _Candidates) or budget <= cached:
             raise _over_budget(budget)
 
     # Every node has four child slots, one per symbol; a zero-weight symbol's
@@ -404,11 +430,9 @@ def enumerate_typical(
     node = np.flatnonzero(alive & (np.abs(totals / n - src.h) <= epsilon))
     walk = np.empty((n, node.size), dtype=np.uint8)
     for depth in range(n - 1, -1, -1):
-        walk[depth] = node & 3
-        node = expanded[depth][node >> 2]
-    syms = np.ascontiguousarray(walk.T)
-    result = _TypicalSet((syms, _flat_bits(syms), visits))
-    result.tables = _subset_tables(walk)
+        np.bitwise_and(node, 3, out=walk[depth], casting="unsafe")
+        node = expanded[depth].take(node >> 2)
+    result = _Candidates(np.ascontiguousarray(walk.T), visits, _subset_tables(walk))
     _remember(key, result)
     return result
 
@@ -433,12 +457,28 @@ class HashingTrialResult:
 _TRIAL_CHUNK = 32
 
 
+class _Trials(NamedTuple):
+    """The trials of one chunk in the fields of ``HashingTrialResult``, row k for trial
+    k: symbols (T, n), revealed bits (T, r), true and decoded final flat bits (T, 2m),
+    flags and match counts (T,); the visits and the budget verdict are the call's."""
+
+    sampled: np.ndarray
+    parity_bits: np.ndarray
+    true_final: np.ndarray
+    decoded_final: np.ndarray
+    success: np.ndarray
+    typical: np.ndarray
+    parities_matched: np.ndarray
+    candidates_visited: int
+    budget_exceeded: bool
+
+
 def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
     """The 0/1 parity strings of r rounds on n pairs, all-zero ones redrawn, with the
     bits (and final generator state) of one ``rng.integers(0, 2, size=L, dtype=np.uint8)``
     call each: that call never rejects and takes bit 7 of each byte, low byte first, of
     ceil(L/4) fresh 32-bit words, so one uint32 draw holds every string in its own chunk."""
-    chunks = [(n - k + 1) // 2 for k in range(r)]
+    chunks = _string_words(n, r)
     bits, strings, at = [], [], 0
     for k, chunk in enumerate(chunks):
         while len(strings) == k:
@@ -451,6 +491,11 @@ def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
             if any(s):
                 strings.append(s)
     return strings
+
+
+def _string_words(n: int, r: int) -> list[int]:
+    """The 32-bit words that the string of each of r rounds on n pairs takes."""
+    return [(n - k + 1) // 2 for k in range(r)]
 
 
 def _choice_cdf(p) -> np.ndarray:
@@ -467,14 +512,129 @@ def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarr
     return cdf.searchsorted(rng.random(n), side="right")
 
 
-def _predicted(tables: np.ndarray, masks: list[int]) -> np.ndarray:
-    """Packed parity rows: bit c of row k is masks[k] . candidate c, by nibble lookups.
+def _lockstep_chunk(
+    seeds: list, cdf: np.ndarray, n: int, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols (T, n) and one-word revealed (T, r, 1) and final (T, 2m, 1) masks of the
+    trials of a chunk, 2n <= 64, drawn as ``_int_loop_chunk`` draws them.
+
+    ``Generator.random`` makes a double of the top 53 bits of one raw 64-bit
+    draw, and ``integers(0, 2**32, dtype=np.uint32)`` returns the low and then
+    the high half of each, so one ``random_raw`` call of a trial's bit
+    generator gives its symbols and the uint32 words its round strings are
+    read from, as ``_round_strings`` reads them.  A trial that draws an
+    all-zero string replays its draws through ``_round_strings``, redraws
+    included.
+    """
+    chunks = _string_words(n, r)
+    size = -(-sum(chunks) // 2)  # raw draws holding the string words
+    raw = np.zeros((len(seeds), n + size + 1), dtype="<u8")  # and a zero word for padding
+    for row, seed in enumerate(seeds):
+        raw[row, :-1] = np.random.PCG64(seed).random_raw(n + size)
+    symbols = cdf.searchsorted((raw[:, :n] >> 11) * 2.0**-53, side="right")
+    # The high bit of pair i of round k is bit 7 of byte starts[k] + 2i, its low bit
+    # that of the next byte; the pairs past a round's n - k read the zero word.
+    pairs = np.arange(n)
+    starts = 8 * n + 4 * np.cumsum([0] + chunks[:-1])
+    at = np.where(pairs < n - np.arange(r)[:, None], starts[:, None] + 2 * pairs, 8 * (n + size))
+    at = at[:, None] + raw[0].nbytes * np.arange(len(seeds))[:, None]  # (r, T, n)
+    raw = raw.view(np.uint8)
+    hi, lo = raw.take(at) >> 7, raw.take(at + 1) >> 7
+    for row in np.flatnonzero(~(hi | lo).any(axis=2).all(axis=0)):
+        rng = np.random.default_rng(seeds[row])
+        _draw_symbols(rng, cdf, n)
+        for k, s in enumerate(_round_strings(rng, n, r)):
+            hi[k, row, : n - k], lo[k, row, : n - k] = s[0::2], s[1::2]
+    t_masks, f_masks = _lockstep_masks(hi, lo)
+    return symbols, t_masks[..., None], f_masks[..., None]
+
+
+def _lockstep_masks(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_round_masks`` of T trials at once: (T, r) revealed and (T, 2m) final masks.
+
+    ``hi`` and ``lo`` (r, T, n) hold the high and low bit of each round
+    string's pairs, zero past the round's n - k pairs; no string is all zero.
+    The phase and amplitude masks of a trial's pairs are rows of a (2, T, n)
+    array, whose entries past the live pairs are never selected.  One gather a
+    round drops the pair that the last round read and swaps the planes of the
+    pairs whose phase bit this round selects; the rest of the round is a few
+    calls with all-ones selection words.
+    """
+    r, trials, n = hi.shape
+    selected = hi | lo
+    fold = np.negative(hi & lo, dtype=np.uint64)  # XOR selected: fold phase onto amplitude
+    on = np.negative(selected, dtype=np.uint64)
+    first = selected.argmax(axis=2)  # (r, T): the lowest selected pair, read and dropped
+    # Round k (and k = r, the final drop) gathers entry i of plane c from entry
+    # i of plane c ^ swap in the previous round, or i + 1 past the read pair.
+    pairs = np.arange(n)
+    skipped = np.concatenate((np.full((1, trials), n), first))[..., None]
+    flat = np.arange(0, trials * n, n)[:, None] + pairs + (pairs >= skipped)
+    swap = np.zeros((r + 1, 1, trials, n), dtype=np.intp)
+    swap[:r, 0] = hi > lo  # the phase bit is selected: rotate it into the amplitude slot
+    gather = flat[:, None] + (np.arange(2)[:, None, None] ^ swap) * (trials * n)
+    read = (first + np.arange(0, trials * n, n))[..., None]  # (r, T, 1) in plane 0
+    state = np.empty((2, trials, n), dtype=np.uint64)
+    state[0] = np.left_shift(1, np.arange(0, 2 * n, 2, dtype=np.uint64))
+    state[1] = state[0] << 1
+    revealed = np.empty((r, trials, n), dtype=np.uint64)  # the selected amplitudes
+    for g, f, o, i, t in zip(gather, fold, on, read, revealed):
+        state = state.take(g, mode="clip")  # an entry past the live pairs reads anything
+        phase, amp = state
+        amp ^= phase & f
+        np.bitwise_and(amp, o, out=t)
+        phase ^= phase.take(i) & o
+    state = state.take(gather[r, :, :, : n - r])
+    t_masks = np.bitwise_xor.reduce(revealed, axis=2).T
+    return t_masks, state.transpose(1, 2, 0).reshape(trials, -1)
+
+
+def _int_loop_chunk(
+    seeds: list, cdf: np.ndarray, n: int, r: int, words: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_lockstep_chunk`` for masks of any width: ``_apply_round`` per trial on
+    Python-int masks, written out as ``words`` little-endian uint64s each."""
+    symbols = np.empty((len(seeds), n), dtype=np.intp)
+    t_masks = np.empty((len(seeds), r, words), dtype="<u8")
+    f_masks = np.empty((len(seeds), 2 * (n - r), words), dtype="<u8")
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        symbols[row] = _draw_symbols(rng, cdf, n)
+        for out, masks in zip((t_masks, f_masks), _round_masks(_round_strings(rng, n, r), n)):
+            out[row] = _mask_words(masks, words)
+    return symbols, t_masks, f_masks
+
+
+def _mask_words(masks: list[int], words: int) -> np.ndarray:
+    """Int masks as rows of ``words`` little-endian uint64s, bit j at bit j % 64 of
+    word j // 64."""
+    raw = b"".join(v.to_bytes(8 * words, "little") for v in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
+
+
+def _flat_words(symbols: np.ndarray, words: int) -> np.ndarray:
+    """The flat bits of each row of a symbol array as ``words`` little-endian uint64s."""
+    packed = np.packbits(_flat_bits(symbols), axis=-1, bitorder="little")
+    out = np.zeros(symbols.shape[:-1] + (8 * words,), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _parities(masks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """GF(2) products, as uint8, of multi-word masks (..., words) with the flat bit
+    strings ``x`` in the same words, broadcast against them."""
+    return np.bitwise_count(np.bitwise_xor.reduce(masks & x, axis=-1)) & 1
+
+
+def _predicted(tables: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Packed parity rows: bit c of row k is masks[k] . candidate c, by nibble lookups
+    on the (K, words) uint64 masks.
 
     One gather per group of four flat bits, XORed into the rows, so the work
     holds one row per mask at a time."""
     groups = len(tables)
-    raw = np.frombuffer(b"".join(v.to_bytes(groups, "little") for v in masks), np.uint8)
-    nibbles = np.stack((raw & 15, raw >> 4), axis=-1).reshape(len(masks), -1)[:, :groups]
+    raw = np.ascontiguousarray(masks, dtype="<u8").view(np.uint8)
+    nibbles = np.stack((raw & 15, raw >> 4), axis=-1).reshape(len(raw), -1)[:, :groups]
     index = nibbles + 16 * np.arange(groups)
     lookup = tables.reshape(16 * groups, -1)
     rows = lookup[index[:, 0]]
@@ -484,111 +644,99 @@ def _predicted(tables: np.ndarray, masks: list[int]) -> np.ndarray:
 
 
 def _matching(
-    tables: np.ndarray, count: int, t_masks: list[list[int]], parity_bits: list[list[int]]
+    rows: np.ndarray, count: int, parity_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(trial, candidate) index pairs, in order, of the candidates whose parities under
-    each trial's round masks are its revealed bits; one list of each per trial."""
-    flips = -np.array(parity_bits, dtype=np.uint64)[..., None]  # all ones where a bit is 1
-    predicted = _predicted(tables, [mask for masks in t_masks for mask in masks])
-    predicted = predicted.reshape(flips.shape[:2] + (-1,))
-    predicted ^= flips
-    mismatch = np.bitwise_or.reduce(predicted, axis=1).view(np.uint8)
+    """(trial, candidate) index pairs, in order, of the candidates whose packed parity
+    rows (T, r, words) under each trial's round masks are its revealed bits (T, r)."""
+    flips = -parity_bits.astype(np.uint64)[..., None]  # all ones where a bit is 1
+    mismatch = np.bitwise_or.reduce(rows ^ flips, axis=1).view(np.uint8)
     return np.nonzero(np.unpackbits(mismatch, axis=1, count=count, bitorder="little") == 0)
 
 
-def _flat_ints(symbols: np.ndarray) -> list[int]:
-    """Each row of a symbol matrix as an int whose bit j is flat bit j of the row."""
-    packed = np.packbits(_flat_bits(symbols), axis=-1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _parities(masks: list[int], x: int) -> list[int]:
-    """GF(2) products of each mask with the flat bit string held in the int ``x``."""
-    return [(mask & x).bit_count() & 1 for mask in masks]
+def _typical_rows(symbols: np.ndarray, src: SourceDist, epsilon: float) -> np.ndarray:
+    """``is_typical`` of each row of a (T, n) symbol matrix, bit for bit: ``cumsum``
+    adds a row's surprisals in sequence, as its loop does."""
+    totals = np.array(src.surprisals())[symbols].cumsum(axis=1)[:, -1]
+    return np.abs(totals / symbols.shape[1] - src.h) <= epsilon
 
 
 def _run_trials(
-    src: SourceDist, plan: YieldPlan, seeds: list, budget: int = DEFAULT_DECODER_BUDGET
-) -> list[HashingTrialResult]:
-    """One ``run_hashing_trial`` per seed, in order, as stacked calls over chunks of
-    at most ``_TRIAL_CHUNK`` trials.
+    src: SourceDist, plan: YieldPlan, seeds: Iterable, budget: int = DEFAULT_DECODER_BUDGET
+) -> Iterator[_Trials]:
+    """``run_hashing_trial`` for each seed, in order, as one ``_Trials`` per chunk of at
+    most ``_TRIAL_CHUNK`` trials; ``seeds`` is read a chunk at a time.
 
     Each trial draws from its own ``default_rng(seed)`` in one order, the
-    symbols and then the round strings, and runs the round map on its own
-    masks; the parity match against the typical set's tables, the final
-    readout of the survivors and the success test run once per chunk, so no
-    outcome depends on the chunking.
+    symbols and then the round strings.  One-word masks run the round map of
+    a chunk's trials in lock step, wider ones run it per trial; the parity
+    match, the readout of the true and surviving final bits, the typicality
+    and the success test run once per chunk, so no outcome depends on the
+    chunking.
     """
     if abs(plan.h - src.h) > 1e-12:
         raise DimensionMismatchError(
             f"plan entropy {plan.h} does not match source entropy {src.h}"
         )
     n, r = plan.n, plan.r
-    typical_set = None
+    found = None
     try:
-        typical_set = enumerate_typical(src, n, plan.epsilon, budget=budget)
+        found = _typical_set(src, n, plan.epsilon, budget)
     except DecoderBudgetError as exc:
         visits = exc.visits
     else:
-        visits = typical_set[2]
+        visits = found.visits
+    words = -(-2 * n // 64)
     cdf = _choice_cdf(src.p)
     # Nothing matched (or nothing was typical): decode an arbitrary sequence,
     # which only counts as success by coincidence.
     best = max(range(4), key=lambda k: (src.p[k], -k))
-    fallback = _flat_ints(np.full((1, n), best))[0]
+    fallback = _flat_words(np.full(n, best), words)
 
-    results = []
-    for start in range(0, len(seeds), _TRIAL_CHUNK):
-        chunk = seeds[start : start + _TRIAL_CHUNK]
-        symbols = np.empty((len(chunk), n), dtype=np.intp)
-        rounds = []
-        for row, seed in zip(symbols, chunk):
-            rng = np.random.default_rng(seed)
-            row[:] = _draw_symbols(rng, cdf, n)
-            rounds.append(_round_masks(_round_strings(rng, n, r), n))
-        revealed, finals = [], []
-        for (t_masks, f_masks), x in zip(rounds, _flat_ints(symbols)):
-            revealed.append(_parities(t_masks, x))
-            finals.append(_parities(f_masks, x))
+    seeds = iter(seeds)
+    while chunk := list(itertools.islice(seeds, _TRIAL_CHUNK)):
+        if words == 1:
+            symbols, t_masks, f_masks = _lockstep_chunk(chunk, cdf, n, r)
+        else:
+            symbols, t_masks, f_masks = _int_loop_chunk(chunk, cdf, n, r, words)
+        x = _flat_words(symbols, words)[:, None]
+        revealed, finals = _parities(t_masks, x), _parities(f_masks, x)
+        decoded = _parities(f_masks, fallback)
+        success = (decoded == finals).all(axis=1) & (found is not None)
+        typical = _typical_rows(symbols, src, plan.epsilon)
 
-        trial = candidate = np.empty(0, dtype=np.intp)
-        if typical_set is not None:
-            trial, candidate = _matching(
-                typical_set.tables, len(typical_set[0]), [t for t, _ in rounds], revealed
-            )
-        matched = np.bincount(trial, minlength=len(chunk))
-        first = np.searchsorted(trial, np.arange(len(chunk)))
-        if trial.size:
+        matched = np.zeros(len(chunk), dtype=np.intp)
+        if found is not None:
+            masks = np.concatenate((t_masks, f_masks), axis=1)
+            rows = _predicted(found.tables, masks.reshape(-1, words))
+            rows = rows.reshape(masks.shape[:2] + (-1,))
+            trial, candidate = _matching(rows[:, :r], len(found.symbols), revealed)
+            matched = np.bincount(trial, minlength=len(chunk))
+        hit = np.flatnonzero(matched)
+        if hit.size:
             # each survivor's final bits, read off the packed rows of its trial's masks
-            f_rows = _predicted(typical_set.tables, [m for _, f in rounds for m in f])
-            f_rows = f_rows.reshape(len(chunk), -1, f_rows.shape[-1])
-            words = f_rows[trial, :, candidate >> 6]
-            survivor_finals = (words >> (candidate & 63).astype(np.uint64)[:, None]) & 1
-            wrong = (survivor_finals != np.array(finals)[trial]).any(axis=1)
-            misdecoded = np.bincount(trial[wrong], minlength=len(chunk))
+            held = rows[trial, r:, candidate >> 6] >> (candidate & 63).astype(np.uint64)[:, None]
+            survivors = (held & 1).astype(np.uint8)
+            wrong = (survivors != finals[trial]).any(axis=1)
+            decoded[hit] = survivors[np.searchsorted(trial, hit)]
+            success[hit] = np.bincount(trial[wrong], minlength=len(chunk))[hit] == 0
+        yield _Trials(
+            symbols, revealed, finals, decoded, success, typical, matched, visits, found is None
+        )
 
-        for k in range(len(chunk)):
-            sampled = tuple(symbols[k].tolist())
-            if matched[k]:
-                decoded_final = survivor_finals[first[k]]
-                success = not misdecoded[k]
-            else:
-                decoded_final = _parities(rounds[k][1], fallback)
-                success = decoded_final == finals[k] and typical_set is not None
-            results.append(
-                HashingTrialResult(
-                    sampled=sampled,
-                    parity_bits=tuple(revealed[k]),
-                    true_final=BellIndexVector.from_bits(finals[k]),
-                    decoded_final=BellIndexVector.from_bits(decoded_final),
-                    success=success,
-                    typical=is_typical(sampled, src, plan.epsilon),
-                    parities_matched=int(matched[k]),
-                    candidates_visited=visits,
-                    budget_exceeded=typical_set is None,
-                )
-            )
-    return results
+
+def _result(trials: _Trials, k: int) -> HashingTrialResult:
+    """Trial k of a chunk as a ``HashingTrialResult``."""
+    return HashingTrialResult(
+        sampled=tuple(trials.sampled[k].tolist()),
+        parity_bits=tuple(trials.parity_bits[k].tolist()),
+        true_final=BellIndexVector.from_bits(trials.true_final[k]),
+        decoded_final=BellIndexVector.from_bits(trials.decoded_final[k]),
+        success=bool(trials.success[k]),
+        typical=bool(trials.typical[k]),
+        parities_matched=int(trials.parities_matched[k]),
+        candidates_visited=trials.candidates_visited,
+        budget_exceeded=trials.budget_exceeded,
+    )
 
 
 def run_hashing_trial(
@@ -603,7 +751,7 @@ def run_hashing_trial(
     (master_seed, trial_index) sequences so partitioning trials across
     workers cannot change any individual outcome.
     """
-    return _run_trials(src, plan, [seed], budget)[0]
+    return _result(next(_run_trials(src, plan, [seed], budget)), 0)
 
 
 @dataclass(frozen=True)

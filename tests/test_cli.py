@@ -279,6 +279,40 @@ def test_hashing_simulate_rejects_a_negative_budget(runner):
     assert (doc["trials"], doc["failures"]) == (2, 2)
 
 
+def test_hashing_simulate_memory_is_bounded_by_the_chunk(runner, tmp_path):
+    # every trial's result object was once kept until the summary printed,
+    # ~1.2 KB a trial; now a call keeps its counts and the CSV text.  Traced,
+    # each trial's generator construction costs ~0.1 ms, which sets the sizes.
+    args = [
+        "hashing", "simulate", "--n", "16",
+        "--p0", "0.91", "--p1", "0.03", "--p2", "0.03", "--p3", "0.03",
+        "--trials-out", str(tmp_path / "trials.csv"), "--trials",
+    ]  # fmt: skip
+    invoke_ok(runner, args + ["3"])
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            invoke_ok(runner, args + [str(trials)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(500), peak(5000)
+    assert large - small <= 128 * 4500, (small, large)
+
+
+def test_negative_seeds_are_usage_errors(runner):
+    # a negative --seed once reached numpy, whose message names no option
+    for args in (
+        ["twirl", "--in", "s.json", "--seed", "-1"],
+        _HASHING + ["--p3", "0.03", "--trials", "2", "--seed", "-1"],
+        ["search-projection", "--in", "s.json", "--trials", "2", "--seed", "-3"],
+    ):
+        message = invoke_one_error_line(runner, args, "invalid_argument")
+        assert "'--seed'" in message and "x>=0" in message, message
+
+
 def test_hashing_simulate_long_strings_exhaust_the_budget(runner, tmp_path):
     # n = 1200 once ended in a RecursionError traceback from a depth-first
     # enumerator; now the visit budget runs out and the trial fails cleanly
@@ -409,9 +443,9 @@ def test_unreadable_and_unwritable_files(runner, tmp_path):
     )
     args = [
         "hashing", "simulate", "--n", "8", "--p0", "1", "--p1", "0", "--p2", "0", "--p3", "0",
-        "--trials", "1", "--trials-out", nowhere,
+        "--trials", "40", "--trials-out", nowhere,
     ]  # fmt: skip
-    invoke_fail(runner, args, "file_access")
+    invoke_one_error_line(runner, args, "file_access")  # nothing on stdout
 
 
 def test_malformed_matrix_cells(runner, tmp_path):

@@ -8,6 +8,8 @@ enumeration are checked against the slow paths they replaced, kept here as
 reference implementations: the per-vector round, the basis-vector parity and
 final-state matrices, one generator call per round string, the byte-sliced
 matcher, the round-by-round replay and the recursive depth-first enumerator.
+The lock-step round map of a chunk's trials is checked against the per-trial
+int loop, and the chunk's row typicality against ``is_typical``.
 """
 
 import dataclasses
@@ -376,10 +378,12 @@ def test_nibble_matcher_matches_byte_sliced_reference():
         _, bits, _ = typical_set
         packed = np.packbits(bits.T, axis=1)
         rng = np.random.default_rng([69, n])
+        width = -(-2 * n // 64)  # uint64 words a mask takes
         stacked_masks, stacked_bits, wanted = [], [], []
         for trial in range(20):
             s_list = hashing._round_strings(rng, n, plan.r)
-            t_masks, f_masks = hashing._round_masks(s_list, n)
+            int_masks = hashing._round_masks(s_list, n)
+            t_masks, f_masks = (hashing._mask_words(m, width) for m in int_masks)
             t_matrix, f_matrix = compile_rounds([np.array(s) for s in s_list], n)
             # parities of every candidate under each mask
             for masks, matrix in ((t_masks, t_matrix), (f_masks, f_matrix)):
@@ -395,7 +399,11 @@ def test_nibble_matcher_matches_byte_sliced_reference():
             stacked_bits.append(parity_bits)
             wanted.append(ref_matching(packed, len(bits), t_matrix, parity_bits))
         # the trials of a chunk are matched in one call
-        trial, got = hashing._matching(typical_set.tables, len(bits), stacked_masks, stacked_bits)
+        stacked_bits = np.array(stacked_bits, dtype=np.uint8)
+        stacked_masks = np.array(stacked_masks)
+        rows = hashing._predicted(typical_set.tables, stacked_masks.reshape(-1, width))
+        rows = rows.reshape(stacked_masks.shape[:2] + (-1,))
+        trial, got = hashing._matching(rows, len(bits), stacked_bits)
         assert np.array_equal(trial, np.repeat(np.arange(20), [w.size for w in wanted]))
         want = np.concatenate(wanted)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -631,7 +639,8 @@ def test_typical_cache_is_bounded():
         enumerate_typical(src, 8, 0.1)
         assert len(hashing._TYPICAL_CACHE) <= hashing._TYPICAL_CACHE_SIZE
     again = enumerate_typical(sources[0], 8, 0.1)  # evicted, so enumerated afresh
-    assert again is not first
+    assert again.tables is not first.tables
+    assert enumerate_typical(sources[0], 8, 0.1).tables is again.tables  # cached
     assert all(np.array_equal(a, b) for a, b in zip(again[:2], first[:2]))
     assert again[2] == first[2]
 
@@ -648,7 +657,10 @@ def test_run_hashing_trial_matches_reference():
                     res = run_hashing_trial(src, plan, [seed, n], budget=budget)
                     ref = ref_run_hashing_trial(src, plan, [seed, n], budget=budget)
                     for field in dataclasses.fields(res):
-                        assert getattr(res, field.name) == getattr(ref, field.name), field.name
+                        got, want = getattr(res, field.name), getattr(ref, field.name)
+                        assert got == want and type(got) is type(want), field.name
+                    for values in (res.sampled, res.parity_bits):
+                        assert all(type(v) is int for v in values)
                     if res.budget_exceeded:
                         paths["budget"] += 1
                     else:
@@ -656,6 +668,15 @@ def test_run_hashing_trial_matches_reference():
     # the grid covers decoding, the fallback of an empty typical set (or no
     # match) and the budget-exceeded path
     assert min(paths.values()) > 0, paths
+
+
+def stacked_results(src, plan, seeds, budget):
+    """Every trial of one stacked call as a ``HashingTrialResult``."""
+    return [
+        hashing._result(trials, k)
+        for trials in hashing._run_trials(src, plan, seeds, budget)
+        for k in range(len(trials.success))
+    ]
 
 
 def test_stacked_trials_match_the_one_trial_reference(monkeypatch):
@@ -684,13 +705,13 @@ def test_stacked_trials_match_the_one_trial_reference(monkeypatch):
         plan = plan_yield(src, n)
         for budget in (hashing.DEFAULT_DECODER_BUDGET, 40):
             seeds = [[71, n, trial] for trial in range(chunk + 1)]
-            results = hashing._run_trials(src, plan, seeds, budget)
+            results = stacked_results(src, plan, seeds, budget)
             for res, seed in zip(results, seeds):
                 ref = ref_run_hashing_trial(src, plan, seed, budget=budget)
                 for field in dataclasses.fields(res):
                     assert getattr(res, field.name) == getattr(ref, field.name), field.name
             for count in (chunk - 1, chunk):
-                assert hashing._run_trials(src, plan, seeds[:count], budget) == results[:count]
+                assert stacked_results(src, plan, seeds[:count], budget) == results[:count]
             for res in results[chunk - 1 : chunk + 1]:
                 if res.budget_exceeded:
                     paths["budget"] += 1
@@ -700,6 +721,80 @@ def test_stacked_trials_match_the_one_trial_reference(monkeypatch):
                     empty = len(enumerate_typical(src, n, plan.epsilon)[0]) == 0
                     paths["empty" if empty else "fallback"] += 1
     assert min(paths.values()) > 0, paths
+
+
+def test_lockstep_masks_match_the_int_loop():
+    # One-word masks run the round map of a chunk's trials in lock step; the
+    # int loop per trial, on draws from a Generator, is the oracle.  At n = 4
+    # and 5 all-zero strings, and so replays with redraws, are common.
+    src = SourceDist(SKEWED)
+    cdf = hashing._choice_cdf(src.p)
+    redraws = 0
+    for n in (4, 5, 8, 24, 32):
+        for r in sorted({1, plan_yield(src, n).r, n - 1}):
+            for size in (1, 31, 32):
+                seeds = [[74, n, r, size, trial] for trial in range(size)]
+                got = hashing._lockstep_chunk(seeds, cdf, n, r)
+                want = hashing._int_loop_chunk(seeds, cdf, n, r, 1)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b), (n, r, size)
+                assert got[1].dtype == got[2].dtype == np.uint64
+                for seed in seeds:
+                    # one draw of the string words is all a trial without redraws takes
+                    once, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for g in (once, replay):
+                        hashing._draw_symbols(g, cdf, n)
+                    once.integers(0, 2**32, size=sum(hashing._string_words(n, r)), dtype=np.uint32)
+                    hashing._round_strings(replay, n, r)
+                    redraws += once.bit_generator.state != replay.bit_generator.state
+    assert redraws > 0
+
+
+def test_wide_masks_share_the_readout():
+    # 2n > 64 runs the int loop per trial, then the chunk readout of the
+    # one-word masks on two words a mask
+    paths = {"decoded": 0, "fallback": 0, "budget": 0}
+    for p, n in (((0.97, 0.01, 0.01, 0.01), 33), ((0.98, 0.02, 0.0, 0.0), 40)):
+        src = SourceDist(p)
+        plan = plan_yield(src, n)
+        for budget in (hashing.DEFAULT_DECODER_BUDGET, 40):
+            seeds = [[75, n, trial] for trial in range(5)]
+            for res, seed in zip(stacked_results(src, plan, seeds, budget), seeds):
+                assert res == ref_run_hashing_trial(src, plan, seed, budget=budget)
+                if res.budget_exceeded:
+                    paths["budget"] += 1
+                else:
+                    paths["decoded" if res.parities_matched else "fallback"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_row_typicality_is_is_typical():
+    # A chunk's typicality adds each row's surprisals with cumsum, in
+    # is_typical's order, so strings on the window's edge fall the same way;
+    # numpy's pairwise sum rounds differently for some of them.
+    rng = np.random.default_rng(76)
+    zero_weight = SourceDist((0.9, 0.05, 0.05, 0.0))
+    reordered = 0
+    for src in (SourceDist(SKEWED), SourceDist((0.4, 0.3, 0.2, 0.1)), zero_weight):
+        surprisal = np.array(src.surprisals())
+        for n in (4, 24, 33):
+            symbols = rng.integers(0, 4, size=(60, n))
+            epsilon = plan_yield(src, n).epsilon if src.h < 1 else 0.1
+            want = [is_typical(row, src, epsilon) for row in symbols]
+            assert hashing._typical_rows(symbols, src, epsilon).tolist() == want
+            for row in symbols:
+                total = 0.0
+                for v in row:
+                    total += surprisal[v]
+                edge = abs(total / n - src.h)  # the row sits on the window's edge
+                if not math.isfinite(edge):
+                    assert not hashing._typical_rows(row[None], src, 0.5)[0]
+                    continue
+                reordered += abs(surprisal[row].sum() / n - src.h) != edge
+                for eps in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+                    got = hashing._typical_rows(row[None], src, eps)
+                    assert got.tolist() == [is_typical(row, src, eps)]
+    assert reordered > 0
 
 
 def test_simulate_csv_is_the_one_trial_loop():
