@@ -14,9 +14,9 @@ each pair's bits held as the set of input flat bits they are the XOR of; the
 revealed and final bits of the truth, every candidate and the fallback are
 products with the masks.
 
-Decoding enumerates the closed typicality window
-|-(1/n) sum_j log2 P(x_j) - H| <= epsilon level by level with
-log-probability pruning, then keeps candidates whose parities match every
+Decoding keeps the strings in the closed typicality window
+|-(1/n) sum_j log2 P(x_j) - H| <= epsilon that a search tree pruned by
+log-probability reaches, then keeps candidates whose parities match every
 revealed bit: for each four flat bits the typical set stores the XORs of
 their 16 subsets, 64 candidates to a word, so one lookup per nibble of a
 mask gives its parities.  A trial succeeds when every surviving candidate
@@ -24,17 +24,27 @@ agrees with the truth about the final (unmeasured) pairs; when nothing
 survives, an arbitrary fallback sequence is decoded and almost always counts
 as failure.
 
+The typical set is built by type classes (the method of types): whether a
+node of the tree is alive depends only on its depth and its counts of the
+symbols other than the most likely one, so the visits are a sum of
+binomials times multinomials, known before any string is built, and the
+strings are built class by class and sorted, in memory O(C n) for C
+strings.  Each test the tree makes is checked against a bound on the
+rounding of its sum; a key with a class within that bound of a test's edge
+runs the level-by-level tree search itself.
+
 The trials of one call run as stacked numpy calls over chunks of a fixed
 number of trials, so memory is bounded by the chunk whatever the trial count.
 Each trial draws from its own generator.  When 2n <= 64 a mask is one uint64
 word, and the trials of a chunk share one lock-step round map on (trials,
-pairs) arrays, a few whole-array calls a round.  Wider masks run the scalar
-round map ``_apply_round`` per trial on Python ints, as ``round_update``
-does: a multi-word lock-step, which touches every word of every pair each
-round, ran about four times slower than this int loop on 2 trials at n = 2000.
-Both feed one readout: the parity match, the true and surviving final bits,
-typicality and the success test run once per chunk, as arrays.  No outcome
-depends on the chunking.
+pairs) arrays, a few whole-array calls a round.  Wider masks, and a chunk of
+one trial, run the scalar round map ``_apply_round`` per trial on Python
+ints, as ``round_update`` does: a multi-word lock-step, which touches every
+word of every pair each round, ran about four times slower than this int
+loop on 2 trials at n = 2000, and the lock-step's setup costs more than one
+trial.  Both feed one readout: the parity match on the revealed masks, the
+true and surviving final bits, typicality and the success test run once per
+chunk, as arrays.  No outcome depends on the chunking.
 """
 
 from __future__ import annotations
@@ -368,15 +378,18 @@ def _over_budget(budget: int) -> DecoderBudgetError:
 def enumerate_typical(
     src: SourceDist, n: int, epsilon: float, budget: int = DEFAULT_DECODER_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """All typical index strings of length n, by pruned level-wise search.
+    """All typical index strings of length n that a pruned search tree reaches.
 
     Returns (symbols, bits, visits): a (C, n) symbol matrix in lexicographic
-    order, its (C, 2n) bit flattening, and the number of search-tree nodes
-    visited.  The tree is expanded one depth at a time, children in symbol
-    order; memory stays O(visits) whatever n is.  Exceeding the visit budget
-    raises.  The visits do not depend on the budget, so a search exceeds
-    every budget below its visits and none above; recent outcomes, sets and
-    exceeded budgets alike, are cached per (source, n, epsilon).
+    order, its (C, 2n) bit flattening, and the number of nodes of the search
+    tree, expanded depth by depth with children in symbol order.  The visits
+    are counted by type classes before any string is built, and the strings
+    are built class by class, in memory O(C n) whatever n is; a key with a
+    class within rounding of a test's edge runs the tree search itself.
+    Exceeding the visit budget raises.  The visits do not depend on the
+    budget, so a search exceeds every budget below its visits and none
+    above; recent outcomes, sets and exceeded budgets alike, are cached per
+    (source, n, epsilon).
     """
     found = _typical_set(src, n, epsilon, budget)
     result = _TypicalSet((found.symbols, _flat_bits(found.symbols), found.visits))
@@ -399,20 +412,38 @@ def _typical_set(src: SourceDist, n: int, epsilon: float, budget: int) -> _Candi
         if isinstance(cached, _Candidates) or budget <= cached:
             raise _over_budget(budget)
 
+    steps = src.surprisals()
+    found = _by_types(steps, src.h, n, epsilon, budget)
+    if found is None:  # some class lies within rounding of a test's edge
+        found = _level_search(steps, src.h, n, epsilon, budget)
+    visits, walk = found
+    if walk is None:
+        _remember(key, budget)
+        raise _over_budget(budget)
+    result = _Candidates(np.ascontiguousarray(walk.T), visits, _subset_tables(walk))
+    _remember(key, result)
+    return result
+
+
+def _level_search(
+    steps: tuple, h: float, n: int, epsilon: float, budget: int
+) -> tuple[int, np.ndarray | None]:
+    """The typical set's visits and its (n, C) symbols, column by column in
+    lexicographic order, by pruned level-wise search; no symbols when the
+    visits pass ``budget``, only visits that do."""
     # Every node has four child slots, one per symbol; a zero-weight symbol's
     # slot has an infinite total, so it is never alive and never visited.
-    steps = np.array(src.surprisals())
+    steps = np.array(steps)
     finite = steps[np.isfinite(steps)]
     min_s, max_s = float(finite.min()), float(finite.max())
-    lo = n * (src.h - epsilon)
-    hi = n * (src.h + epsilon)
+    lo = n * (h - epsilon)
+    hi = n * (h + epsilon)
     totals = np.zeros(1)  # surprisal sums of the current level, left to right
     expanded: list[np.ndarray] = []  # per depth: the nodes whose children form the next level
     visits = 1
     for depth in range(n + 1):
         if visits > budget:
-            _remember(key, budget)
-            raise _over_budget(budget)
+            return visits, None
         remaining = n - depth
         # Prune nodes that cannot land inside the window (small slack so
         # roundoff never drops a boundary string; leaves recheck exactly).
@@ -427,14 +458,133 @@ def _typical_set(src: SourceDist, n: int, epsilon: float, budget: int) -> _Candi
 
     # Slot j of a level descends from node j >> 2 of the level above through
     # symbol j & 3; walk the leaves back to the root.
-    node = np.flatnonzero(alive & (np.abs(totals / n - src.h) <= epsilon))
+    node = np.flatnonzero(alive & (np.abs(totals / n - h) <= epsilon))
     walk = np.empty((n, node.size), dtype=np.uint8)
     for depth in range(n - 1, -1, -1):
         np.bitwise_and(node, 3, out=walk[depth], casting="unsafe")
         node = expanded[depth].take(node >> 2)
-    result = _Candidates(np.ascontiguousarray(walk.T), visits, _subset_tables(walk))
-    _remember(key, result)
-    return result
+    return visits, walk
+
+
+def _by_types(
+    steps: tuple, h: float, n: int, epsilon: float, budget: int
+) -> tuple[int, np.ndarray | None] | None:
+    """``_level_search`` by type classes, or None when a class lies within
+    rounding of the edge of a test that the search makes.
+
+    Call the most likely symbol the background.  A node of the search is a
+    prefix, and whether it is alive depends, up to rounding, only on its
+    depth d and the counts of its j other symbols: the least total of its
+    completions does not depend on d, and the greatest falls as d grows, so
+    the prefixes of a type are alive at exactly the depths j..top.  A type
+    of M arrangements thus has M * C(d, j) alive nodes at depth d, and
+    M * C(min(top, n - 1) + 1, j + 1) expanded ones in all.  Both tests are
+    monotone in the counts, so a type is alive only if every type under it
+    is, and the loop over j stops at the first level with no alive type.
+    The search sums its totals along each path, so each value below is
+    checked against a bound on the rounding of both its sum and this one.
+    """
+    finite = [k for k in range(4) if math.isfinite(steps[k])]
+    min_s = min(steps[k] for k in finite)
+    max_s = max(steps[k] for k in finite)
+    background = min(finite, key=lambda k: steps[k])
+    others = [k for k in finite if k != background]
+    low = n * (h - epsilon) - 1e-9
+    high = n * (h + epsilon) + 1e-9
+    slack = (n + 8) * 2.0**-52 * max_s  # rounding of a mean; n times that of a total
+    weights = [steps[k] for k in others]
+    visits, levels, types = 1, [], [(0,) * len(others)]
+    for j in range(n + 1):
+        alive, typical = [], []
+        for counts in types:
+            fixed = sum(c * s for c, s in zip(counts, weights)) - j * min_s
+            least = fixed + n * min_s  # the least total of a completion
+            if abs(least - high) <= n * slack:
+                return None
+            if least > high:
+                continue
+            # the greatest total of a completion at depth d is fixed + d min_s + (n - d) max_s
+            if max_s == min_s:
+                top = n if fixed + n * max_s >= low else j - 1
+            else:
+                top = math.floor((fixed + n * max_s - low) / (max_s - min_s))
+                top = max(j - 1, min(n, top))
+            for d in (top, top + 1):
+                most = fixed + d * min_s + (n - d) * max_s
+                if j <= d <= n and (abs(most - low) <= n * slack or (most >= low) != (d == top)):
+                    return None
+            if top < j:
+                continue
+            alive.append(counts)
+            arrangements = math.factorial(j) // math.prod(map(math.factorial, counts))
+            visits += len(finite) * arrangements * math.comb(min(top, n - 1) + 1, j + 1)
+            miss = abs(least / n - h)
+            if top == n and abs(miss - epsilon) <= slack:
+                return None
+            typical.append(top == n and miss <= epsilon)
+        if not alive:
+            break
+        levels.append((alive, typical))
+        if visits > budget:
+            return visits, None
+        # the tree tests only the children of alive nodes
+        types = list(dict.fromkeys(child for counts in alive for child in _children(counts)))
+    return visits, _class_strings(levels, n, background, others)
+
+
+def _children(counts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The types one symbol longer than ``counts``, one per symbol counted."""
+    return [counts[:i] + (c + 1,) + counts[i + 1 :] for i, c in enumerate(counts)]
+
+
+def _class_strings(levels: list, n: int, background: int, others: list[int]) -> np.ndarray:
+    """The (n, C) symbols of the typical types, column by column in lexicographic order.
+
+    ``levels[j]`` lists the alive types with j symbols other than the
+    background, as counts of ``others``, and flags the typical ones.  The
+    arrangements of those j symbols grow by one symbol a level, keeping
+    those of alive types (a prefix of an arrangement of an alive type is one
+    of an alive type), and each typical one is placed on every j-subset of
+    the n positions.  A string is a key of 2-bit digits, symbol 0 most
+    significant, in ``words`` uint64s, so sorting the keys sorts the strings.
+    """
+    words = -(-n // 32)
+    # Symbol i is shifted by place[i, w] into word w: into its own word i // 32,
+    # and by 64, which numpy's shifts turn into 0, into every other word.
+    place = np.full((n, words), 64, dtype=np.uint64)
+    place[np.arange(n), np.arange(n) // 32] = 62 - 2 * (np.arange(n) % 32)
+    blank = np.bitwise_or.reduce(np.uint64(background) << place)
+    arranged = [((), 0)]  # (symbols XOR background, index of the type in its level)
+    keys = [np.empty((0, words), dtype=np.uint64)]
+    for j, (alive, typical) in enumerate(levels):
+        if j:
+            index = {counts: k for k, counts in enumerate(alive)}
+            parents, grown = levels[j - 1][0], []
+            for prefix, k in arranged:
+                for symbol, child in zip(others, _children(parents[k])):
+                    if child in index:
+                        grown.append((prefix + (symbol ^ background,), index[child]))
+            arranged = grown
+        chosen = [prefix for prefix, k in arranged if typical[k]]
+        if not chosen:
+            continue
+        chosen = np.array(chosen, dtype=np.uint64).reshape(len(chosen), j)
+        size = math.comb(n, j)
+        at = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), j)),
+            dtype=np.intp,
+            count=size * j,
+        ).reshape(size, j)
+        part = blank
+        for i, column in zip(at.T, chosen.T):
+            part = part ^ (column[:, None] << place[i, None])
+        keys.append(np.broadcast_to(part, (size, len(chosen), words)).reshape(-1, words))
+    keys = np.concatenate(keys)
+    keys = np.sort(keys, axis=0) if words == 1 else keys[np.lexsort(keys.T[::-1])]
+    # four symbols a byte, most significant first
+    packed = np.ascontiguousarray(keys.astype(">u8").view(np.uint8).T)[:, None]
+    packed = packed >> np.arange(6, -1, -2, dtype=np.uint8)[:, None]
+    return (packed & 3).reshape(32 * words, len(keys))[:n]
 
 
 @dataclass(frozen=True)
@@ -647,17 +797,25 @@ def _matching(
     rows: np.ndarray, count: int, parity_bits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(trial, candidate) index pairs, in order, of the candidates whose packed parity
-    rows (T, r, words) under each trial's round masks are its revealed bits (T, r)."""
+    rows (T, r, words) under each trial's round masks are its revealed bits (T, r).
+
+    Only the words holding a match are unpacked."""
     flips = -parity_bits.astype(np.uint64)[..., None]  # all ones where a bit is 1
-    mismatch = np.bitwise_or.reduce(rows ^ flips, axis=1).view(np.uint8)
-    return np.nonzero(np.unpackbits(mismatch, axis=1, count=count, bitorder="little") == 0)
+    hits = ~np.bitwise_or.reduce(rows ^ flips, axis=1)
+    if count % 64:  # the padding past the last candidate never matches
+        hits[:, -1] &= np.uint64(2 ** (count % 64) - 1)
+    trial, word = np.nonzero(hits)
+    bits = np.unpackbits(hits[trial, word, None].view(np.uint8), axis=1, bitorder="little")
+    match, bit = np.nonzero(bits)
+    return trial[match], 64 * word[match] + bit
 
 
 def _typical_rows(symbols: np.ndarray, src: SourceDist, epsilon: float) -> np.ndarray:
     """``is_typical`` of each row of a (T, n) symbol matrix, bit for bit: ``cumsum``
     adds a row's surprisals in sequence, as its loop does."""
-    totals = np.array(src.surprisals())[symbols].cumsum(axis=1)[:, -1]
-    return np.abs(totals / symbols.shape[1] - src.h) <= epsilon
+    totals = np.array(src.surprisals())[symbols]
+    np.cumsum(totals, axis=1, out=totals)  # in place: no second (T, n) array
+    return np.abs(totals[:, -1] / symbols.shape[1] - src.h) <= epsilon
 
 
 def _run_trials(
@@ -694,7 +852,7 @@ def _run_trials(
 
     seeds = iter(seeds)
     while chunk := list(itertools.islice(seeds, _TRIAL_CHUNK)):
-        if words == 1:
+        if words == 1 and len(chunk) > 1:  # one trial: the lock-step's setup costs more
             symbols, t_masks, f_masks = _lockstep_chunk(chunk, cdf, n, r)
         else:
             symbols, t_masks, f_masks = _int_loop_chunk(chunk, cdf, n, r, words)
@@ -705,17 +863,16 @@ def _run_trials(
         typical = _typical_rows(symbols, src, plan.epsilon)
 
         matched = np.zeros(len(chunk), dtype=np.intp)
-        if found is not None:
-            masks = np.concatenate((t_masks, f_masks), axis=1)
-            rows = _predicted(found.tables, masks.reshape(-1, words))
-            rows = rows.reshape(masks.shape[:2] + (-1,))
-            trial, candidate = _matching(rows[:, :r], len(found.symbols), revealed)
+        if found is not None and len(found.symbols):  # an empty set matches nothing
+            rows = _predicted(found.tables, t_masks.reshape(-1, words))
+            rows = rows.reshape(t_masks.shape[:2] + (-1,))
+            trial, candidate = _matching(rows, len(found.symbols), revealed)
             matched = np.bincount(trial, minlength=len(chunk))
         hit = np.flatnonzero(matched)
         if hit.size:
-            # each survivor's final bits, read off the packed rows of its trial's masks
-            held = rows[trial, r:, candidate >> 6] >> (candidate & 63).astype(np.uint64)[:, None]
-            survivors = (held & 1).astype(np.uint8)
+            # each survivor's final bits under its trial's masks
+            held = _flat_words(found.symbols[candidate], words)[:, None]
+            survivors = _parities(f_masks[trial], held)
             wrong = (survivors != finals[trial]).any(axis=1)
             decoded[hit] = survivors[np.searchsorted(trial, hit)]
             success[hit] = np.bincount(trial[wrong], minlength=len(chunk))[hit] == 0
@@ -794,10 +951,8 @@ def typicality_miss_estimate(
         raise DimensionMismatchError(f"need n >= 1 and a trial, got n={n}, trials={trials}")
     epsilon = _window(epsilon)
     rng = np.random.default_rng(seed)
-    surprisal = np.array(src.surprisals())
     draws = rng.choice(4, size=(trials, n), p=np.asarray(src.p))
-    means = surprisal[draws].sum(axis=1) / float(n)
-    misses = int((np.abs(means - src.h) > epsilon).sum())
+    misses = trials - int(np.count_nonzero(_typical_rows(draws, src, epsilon)))
     return _wilson_estimate(misses, trials)
 
 

@@ -9,7 +9,10 @@ reference implementations: the per-vector round, the basis-vector parity and
 final-state matrices, one generator call per round string, the byte-sliced
 matcher, the round-by-round replay and the recursive depth-first enumerator.
 The lock-step round map of a chunk's trials is checked against the per-trial
-int loop, and the chunk's row typicality against ``is_typical``.
+int loop, and the chunk's row typicality against ``is_typical``.  The
+type-class enumeration is checked against the library's level-wise tree
+search, which keys near a test's edge still run, and the Wilson interval of
+the miss estimate against the exact miss probability summed over types.
 """
 
 import dataclasses
@@ -632,6 +635,153 @@ def test_exceeded_budgets_are_cached_like_the_uncached_path(monkeypatch):
             assert result.budget_exceeded == (budget < visits)
 
 
+def sweep_source(k):
+    """Grid point k of 1024 of the hashing-sweep benchmark: p = (p0, q, q, q) normalised
+    as the command line normalises it."""
+    p0 = round(0.90 + 0.045 * k / 1023, 12)
+    q = (1.0 - p0) / 3.0
+    raw = (p0, q, q, q)
+    return SourceDist(tuple(v / sum(raw) for v in raw))
+
+
+def assert_same_set(src, n, epsilon, walk, visits):
+    """``enumerate_typical`` (cold) holds the (n, C) symbols ``walk`` of the tree search."""
+    hashing._TYPICAL_CACHE.clear()
+    symbols, bits, got_visits = typical_set = enumerate_typical(src, n, epsilon, budget=10**7)
+    assert got_visits == visits
+    assert symbols.dtype == np.uint8 and symbols.shape == walk.T.shape
+    assert symbols.tobytes() == np.ascontiguousarray(walk.T).tobytes()
+    assert typical_set.tables.tobytes() == hashing._subset_tables(walk).tobytes()
+
+
+def test_type_classes_match_the_tree_on_the_sweep_grid():
+    # The type classes give the tree's visits and strings, in its order, with
+    # no key of the benchmark grid (every 4th one here) near a test's edge.
+    for k in range(0, 1024, 4):
+        src = sweep_source(k)
+        epsilon = plan_yield(src, 24).epsilon
+        steps = src.surprisals()
+        budget = hashing.DEFAULT_DECODER_BUDGET
+        found = hashing._by_types(steps, src.h, 24, epsilon, budget)
+        assert found is not None, k
+        visits, walk = hashing._level_search(steps, src.h, 24, epsilon, budget)
+        assert found[0] == visits
+        assert found[1].shape == walk.shape and found[1].tobytes() == walk.tobytes(), k
+        assert_same_set(src, 24, epsilon, walk, visits)
+
+
+def test_keys_near_a_test_edge_run_the_tree_search():
+    # Dyadic weights put every total on an integer and the window's edges on
+    # integers; (0.8, 0.1, 0.05, 0.05) at n = 16 puts a class on the upper edge
+    # in exact arithmetic.  Both run the tree search, which the reference checks.
+    for p, n, epsilon in (((0.5, 0.25, 0.125, 0.125), 8, 0.25), ((0.8, 0.1, 0.05, 0.05), 16, 0.05)):
+        src = SourceDist(p)
+        steps = src.surprisals()
+        assert hashing._by_types(steps, src.h, n, epsilon, 10**7) is None
+        hashing._TYPICAL_CACHE.clear()
+        typical_set = enumerate_typical(src, n, epsilon)
+        ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
+        assert typical_set[2] == ref_visits
+        assert typical_set[0].tobytes() == ref_symbols.tobytes()
+        assert typical_set[1].tobytes() == ref_bits.tobytes()
+        assert np.array_equal(typical_set.tables, ref_subset_tables(ref_bits))
+
+
+def test_type_classes_keep_the_pruning_slack():
+    # The tree keeps a node whose completions miss the window by less than
+    # its 1e-9 slack.  Here the greatest completion of 15 zeros (a final 1)
+    # falls 5e-10 short of the window, and the least completion of three 1s
+    # (13 zeros) passes it by 5e-10.  That is far outside rounding, so the
+    # type classes decide these nodes, and count their children as the tree does.
+    src = SourceDist(SKEWED)
+    steps = src.surprisals()
+    for string, side in (([0] * 15 + [1], -1), ([1, 1, 1] + [0] * 13, 1)):
+        total = 0.0
+        for v in string:
+            total += steps[v]
+        epsilon = side * ((total - side * 5e-10) / 16 - src.h)
+        found = hashing._by_types(steps, src.h, 16, epsilon, 10**6)
+        visits, walk = hashing._level_search(steps, src.h, 16, epsilon, 10**6)
+        assert found is not None and found[0] == visits
+        assert found[1].shape == walk.shape and found[1].tobytes() == walk.tobytes()
+
+
+def test_type_classes_match_the_reference_beyond_one_word():
+    # n = 1 is the shortest key, n = 33 and 40 take two words a key, and the
+    # pure source's n = 1200 takes 38
+    cases = [
+        (SourceDist(SKEWED), 1, 0.3),
+        (SourceDist((0.4, 0.3, 0.2, 0.1)), 1, 0.3),
+        (SourceDist((0.97, 0.01, 0.01, 0.01)), 33, None),
+        (SourceDist((0.98, 0.02, 0.0, 0.0)), 40, None),
+        (SourceDist((0.02, 0.0, 0.98, 0.0)), 33, None),  # the background is symbol 2
+        (SourceDist((0.05, 0.0, 0.95, 0.0)), 40, 0.1),
+    ]
+    for src, n, epsilon in cases:
+        epsilon = plan_yield(src, n).epsilon if epsilon is None else epsilon
+        assert hashing._by_types(src.surprisals(), src.h, n, epsilon, 10**6) is not None
+        hashing._TYPICAL_CACHE.clear()
+        symbols, bits, visits = enumerate_typical(src, n, epsilon)
+        ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
+        assert visits == ref_visits and (len(symbols) > 0 or n == 1)
+        assert symbols.shape == ref_symbols.shape and symbols.tobytes() == ref_symbols.tobytes()
+        assert bits.tobytes() == ref_bits.tobytes()
+    pure = SourceDist((1.0, 0.0, 0.0, 0.0))
+    found = hashing._by_types(pure.surprisals(), pure.h, 1200, 0.25, 10**6)
+    assert found[0] == 1201 and found[1].shape == (1200, 1) and not found[1].any()
+
+
+def test_type_class_budget_verdicts_at_n_26():
+    # The visits are counted before any string is built: n = 26 exceeds the
+    # default budget at once, and fits in 10^7 with the tree's strings.
+    src = SourceDist(SKEWED)
+    epsilon = plan_yield(src, 26).epsilon
+    hashing._TYPICAL_CACHE.clear()
+    with pytest.raises(DecoderBudgetError) as info:
+        enumerate_typical(src, 26, epsilon)
+    assert info.value.visits == hashing.DEFAULT_DECODER_BUDGET + 1
+    steps = src.surprisals()
+    visits, walk = hashing._level_search(steps, src.h, 26, epsilon, 10**7)
+    assert (visits, walk.shape) == (1_711_897, (26, 70_200))
+    assert_same_set(src, 26, epsilon, walk, visits)
+    # a partial count already past the budget is the verdict
+    partial, none = hashing._by_types(steps, src.h, 26, epsilon, hashing.DEFAULT_DECODER_BUDGET)
+    assert none is None and hashing.DEFAULT_DECODER_BUDGET < partial <= visits
+
+
+def test_type_classes_match_the_tree_on_random_keys():
+    # Random weights (zero weights, ties and dyadic values included), lengths,
+    # windows and budgets: where the type classes answer, they give the tree's
+    # visits, budget verdict and strings; dyadic keys make some fall back.
+    rng = np.random.default_rng(77)
+    answered = fallbacks = refused = 0
+    while answered < 300:
+        p = rng.dirichlet(np.ones(4) * rng.choice([0.3, 1.0, 5.0])) * (rng.random(4) < 0.8)
+        if rng.random() < 0.25:
+            p = np.round(p * 8) / 8
+        if p.sum() == 0:
+            continue
+        src = SourceDist(tuple(p / p.sum()))
+        n = int(rng.integers(1, 13))
+        epsilon = float(rng.choice([rng.uniform(1e-3, 0.5), 0.25, 0.125]))
+        budget = int(rng.choice([10**6, rng.integers(0, 2000)]))
+        steps = src.surprisals()
+        found = hashing._by_types(steps, src.h, n, epsilon, budget)
+        if found is None:
+            fallbacks += 1
+            continue
+        visits, walk = hashing._level_search(steps, src.h, n, epsilon, budget)
+        assert (found[1] is None) == (walk is None)
+        if walk is None:
+            refused += 1
+            assert found[0] > budget and visits > budget
+            continue
+        answered += 1
+        assert found[0] == visits
+        assert found[1].shape == walk.shape and found[1].tobytes() == walk.tobytes()
+    assert fallbacks > 0 and refused > 0
+
+
 def test_typical_cache_is_bounded():
     sources = [SourceDist((p0, 1.0 - p0, 0.0, 0.0)) for p0 in (0.6, 0.65, 0.7, 0.75, 0.8, 0.85)]
     first = enumerate_typical(sources[0], 8, 0.1)
@@ -937,6 +1087,73 @@ def test_typicality_miss_estimate_monotone():
         assert b.lower <= a.upper + 1e-12
     with pytest.raises(DimensionMismatchError):
         typicality_miss_estimate(src, 8, 0.1, trials=0)
+
+
+def test_typicality_miss_estimate_decides_edge_strings_as_is_typical():
+    # Each one-trial estimate draws one string; with epsilon on that string's
+    # edge (its surprisals added left to right, as is_typical adds them) the
+    # estimate must call it typical.  numpy's pairwise sum rounds some of these
+    # edges the other way, which an estimate that used it would count as misses.
+    src = SourceDist((0.7, 0.1, 0.15, 0.05))
+    surprisal = np.array(src.surprisals())
+    x = [0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0, 0, 3, 0, 0]
+    assert is_typical(x, src, 0.16063659694382149)
+    assert abs(surprisal[x].sum() / 24 - src.h) > 0.16063659694382149
+    pairwise = 0
+    for seed in range(300):
+        draw = np.random.default_rng(seed).choice(4, size=(1, 24), p=np.asarray(src.p))[0]
+        total = 0.0
+        for v in draw:
+            total += surprisal[v]
+        edge = abs(total / 24 - src.h)
+        assert is_typical(draw, src, edge)
+        assert typicality_miss_estimate(src, 24, edge, trials=1, seed=seed).q_hat == 0.0
+        pairwise += abs(surprisal[draw].sum() / 24 - src.h) > edge
+    assert pairwise > 0
+
+
+def exact_miss_probability(src, n, epsilon):
+    """1 - P(typical), summed over the types k = (k0..k3) of length-n strings as
+    M(k) prod p_i^k_i; every type lies clear of the window's edges."""
+    surprisal = src.surprisals()
+    inside = 0.0
+    for k0 in range(n + 1):
+        for k1 in range(n + 1 - k0):
+            for k2 in range(n + 1 - k0 - k1):
+                counts = (k0, k1, k2, n - k0 - k1 - k2)
+                if any(c and math.isinf(s) for c, s in zip(counts, surprisal)):
+                    continue
+                mean = sum(c * s for c, s in zip(counts, surprisal) if c) / n
+                assert abs(abs(mean - src.h) - epsilon) > 1e-9, counts  # no ties
+                if abs(mean - src.h) <= epsilon:
+                    arrangements = math.factorial(n) // math.prod(map(math.factorial, counts))
+                    inside += arrangements * math.prod(p**c for p, c in zip(src.p, counts))
+    return 1.0 - inside
+
+
+def test_wilson_interval_covers_the_exact_miss_probability():
+    # The exact q by the method of types agrees with exhaustive enumeration,
+    # and the 95% interval covers it in about 95% of seeded estimates.
+    src = SourceDist((0.4, 0.3, 0.2, 0.1))
+    digits, mask = vectorized_membership(src, 6, 0.1)
+    weights = np.prod(np.asarray(src.p)[digits], axis=1)
+    q = exact_miss_probability(src, 6, 0.1)
+    assert math.isclose(q, 1.0 - weights[mask].sum(), abs_tol=1e-12)
+    runs = 200
+    for src, n, epsilon in (
+        (SourceDist((0.7, 0.1, 0.15, 0.05)), 24, 0.15),
+        (SourceDist(SKEWED), 32, 0.1),
+        (SourceDist((0.4, 0.3, 0.2, 0.1)), 12, 0.1),
+        (SourceDist((0.9, 0.05, 0.05, 0.0)), 20, 0.1),  # a zero-weight symbol
+    ):
+        q = exact_miss_probability(src, n, epsilon)
+        assert 0.1 < q < 0.9
+        covered = 0
+        for seed in range(runs):
+            est = typicality_miss_estimate(src, n, epsilon, trials=200, seed=[78, seed])
+            covered += est.lower <= q <= est.upper
+        # 95% nominal, within three binomial standard deviations over the runs
+        assert abs(covered / runs - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / runs), (q, covered)
 
 
 def test_wilson_interval_closed_form():
