@@ -8,9 +8,9 @@ we call it the amplitude bit.  Each round consumes one pair and reveals one
 parity of the surviving description, exactly the linear-algebra shadow of the
 bilateral-CNOT measurement network.
 
-A trial draws its n symbols and then its r parity strings, each in one
-generator call.  The round map is GF(2)-linear, so it runs once on masks,
-each pair's bits held as the set of input flat bits they are the XOR of; the
+A trial draws its n symbols and then its r parity strings from its own
+generator.  The round map is GF(2)-linear, so it runs once on masks, each
+pair's bits held as the set of input flat bits they are the XOR of; the
 revealed and final bits of the truth, every candidate and the fallback are
 products with the masks.
 
@@ -35,20 +35,22 @@ runs the level-by-level tree search itself.
 
 The trials of one call run as stacked numpy calls over chunks of a fixed
 number of trials, so memory is bounded by the chunk whatever the trial count.
-Each trial draws from its own generator.  When 2n <= 64 a mask is one uint64
-word, and the trials of a chunk share one lock-step round map on (trials,
-pairs) arrays, a few whole-array calls a round.  Wider masks, and a chunk of
-one trial, run the scalar round map ``_apply_round`` per trial on Python
-ints, as ``round_update`` does: a multi-word lock-step, which touches every
-word of every pair each round, ran about four times slower than this int
-loop on 2 trials at n = 2000, and the lock-step's setup costs more than one
-trial.  Both feed one readout: the parity match on the revealed masks, the
-true and surviving final bits, typicality and the success test run once per
-chunk, as arrays.  No outcome depends on the chunking.
+One reader reads each trial's draws from its generator's raw words, and both
+round maps run on its output.  When 2n <= 64 a mask is one uint64 word, and
+the trials of a chunk share one lock-step round map on (trials, pairs)
+arrays, a few whole-array calls a round.  Wider masks, and a chunk of one
+trial, run the scalar round map ``_apply_round`` per trial on Python ints,
+as ``round_update`` does: a multi-word lock-step, which touches every word of
+every pair each round, ran about four times slower than this int loop on 2
+trials at n = 2000, and the lock-step's setup costs more than one trial.
+Both feed one readout: the parity match on the revealed masks, the true and
+surviving final bits, typicality and the success test run once per chunk, as
+arrays.  No outcome depends on the chunking.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import OrderedDict
@@ -181,10 +183,18 @@ def _flat_bits(symbols: np.ndarray) -> np.ndarray:
     return bits
 
 
+def _bit_string(s) -> np.ndarray:
+    """``s`` flattened to a uint8 array; any entry other than 0 or 1 is a ValueError."""
+    bits = np.asarray(s).reshape(-1)
+    wrong = set(bits.tolist()) - {0, 1}  # a set: several times cheaper than ufuncs on short strings
+    if wrong:
+        raise ValueError(f"bit strings hold only 0 and 1, got {wrong.pop()}")
+    return bits.astype(np.uint8)
+
+
 def parity(s, x) -> int:
     """GF(2) inner product of two equal-length bit strings."""
-    sa = np.asarray(s, dtype=np.uint8).reshape(-1)
-    xa = np.asarray(x, dtype=np.uint8).reshape(-1)
+    sa, xa = _bit_string(s), _bit_string(x)
     if sa.shape != xa.shape:
         raise DimensionMismatchError(f"bit strings of length {sa.size} vs {xa.size}")
     return int((sa & xa).sum() & 1)
@@ -202,7 +212,7 @@ def round_update(s, x: BellIndexVector) -> tuple[int, BellIndexVector]:
     equal parity(s, x) exactly.
     """
     m = len(x)
-    sa = np.asarray(s, dtype=np.uint8).reshape(-1)
+    sa = _bit_string(s)
     if sa.size != 2 * m:
         raise DimensionMismatchError(f"need {2 * m} parity bits, got {sa.size}")
     bits = sa.tolist()
@@ -314,7 +324,7 @@ def is_typical(x, src: SourceDist, epsilon: float) -> bool:
     A string containing a zero-probability symbol is never typical.
     """
     epsilon = _window(epsilon)
-    entries = x.entries if isinstance(x, BellIndexVector) else tuple(int(v) for v in x)
+    entries = (x if isinstance(x, BellIndexVector) else BellIndexVector(x)).entries
     n = len(entries)
     if n == 0:
         raise DimensionMismatchError("typicality needs at least one symbol")
@@ -338,14 +348,8 @@ class _Candidates(NamedTuple):
     tables: np.ndarray
 
 
-class _TypicalSet(tuple):
-    """``enumerate_typical``'s (symbols, bits, visits), with the cached ``tables``."""
-
-    tables: np.ndarray
-
-
 def _subset_tables(walk: np.ndarray) -> np.ndarray:
-    """``_TypicalSet.tables`` of the columns of ``walk`` (n x C symbols), by doublings."""
+    """``_Candidates.tables`` of the columns of ``walk`` (n x C symbols), by doublings."""
     n, count = walk.shape
     rows = np.zeros((4 * ((n + 1) // 2), count + -count % 64), dtype=np.uint8)
     rows[0 : 2 * n : 2, :count] = walk >> 1
@@ -392,9 +396,7 @@ def enumerate_typical(
     (source, n, epsilon).
     """
     found = _typical_set(src, n, epsilon, budget)
-    result = _TypicalSet((found.symbols, _flat_bits(found.symbols), found.visits))
-    result.tables = found.tables
-    return result
+    return found.symbols, _flat_bits(found.symbols), found.visits
 
 
 def _typical_set(src: SourceDist, n: int, epsilon: float, budget: int) -> _Candidates:
@@ -623,31 +625,6 @@ class _Trials(NamedTuple):
     budget_exceeded: bool
 
 
-def _round_strings(rng: np.random.Generator, n: int, r: int) -> list[list[int]]:
-    """The 0/1 parity strings of r rounds on n pairs, all-zero ones redrawn, with the
-    bits (and final generator state) of one ``rng.integers(0, 2, size=L, dtype=np.uint8)``
-    call each: that call never rejects and takes bit 7 of each byte, low byte first, of
-    ceil(L/4) fresh 32-bit words, so one uint32 draw holds every string in its own chunk."""
-    chunks = _string_words(n, r)
-    bits, strings, at = [], [], 0
-    for k, chunk in enumerate(chunks):
-        while len(strings) == k:
-            if at + 4 * chunk > len(bits):  # first, and after a redraw: what is left to draw
-                size = sum(chunks[k:]) - (len(bits) - at) // 4
-                words = rng.integers(0, 2**32, size=size, dtype=np.uint32).astype("<u4", copy=False)
-                bits += (words.view(np.uint8) >> 7).tolist()
-            s = bits[at : at + 2 * (n - k)]
-            at += 4 * chunk
-            if any(s):
-                strings.append(s)
-    return strings
-
-
-def _string_words(n: int, r: int) -> list[int]:
-    """The 32-bit words that the string of each of r rounds on n pairs takes."""
-    return [(n - k + 1) // 2 for k in range(r)]
-
-
 def _choice_cdf(p) -> np.ndarray:
     """The cdf that ``Generator.choice`` forms from the weights ``p``."""
     cdf = np.asarray(p, dtype=np.float64).cumsum()
@@ -655,61 +632,76 @@ def _choice_cdf(p) -> np.ndarray:
     return cdf
 
 
-def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, n: int) -> np.ndarray:
-    """``rng.choice(len(cdf), size=n, p=p)`` for the weights p of ``cdf = _choice_cdf(p)``:
-    choice draws n doubles and looks each up in that cdf, so this gives the same symbols
-    and generator state without choice's per-call checks of p."""
-    return cdf.searchsorted(rng.random(n), side="right")
+def _draw_symbols(rng: np.random.Generator, cdf: np.ndarray, shape) -> np.ndarray:
+    """``rng.choice(len(cdf), size=shape, p=p)`` for the weights p of ``cdf = _choice_cdf(p)``:
+    choice draws one double per symbol and looks each up in that cdf, so this gives the
+    same symbols and generator state without choice's per-call checks of p."""
+    return cdf.searchsorted(rng.random(shape), side="right")
 
 
-def _lockstep_chunk(
-    seeds: list, cdf: np.ndarray, n: int, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symbols (T, n) and one-word revealed (T, r, 1) and final (T, 2m, 1) masks of the
-    trials of a chunk, 2n <= 64, drawn as ``_int_loop_chunk`` draws them.
+@functools.lru_cache(maxsize=4)
+def _string_layout(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For r round strings on n pairs: the 32-bit words an attempt at each takes, its
+    uint16 index (r, 1) in a trial's raw words when none is redrawn, and the offset
+    (r, 1, n) of each pair from there.  Past round k's n - k pairs the offset is the
+    int32 maximum, beyond any chunk's draws, which the clipped gather reads as the
+    zero word at their end; int32 halves what the cache holds."""
+    chunks = np.array([(n - k + 1) // 2 for k in range(r)])
+    starts = 4 * n + 2 * (np.cumsum(chunks) - chunks)
+    pairs = np.arange(n, dtype=np.int32)
+    pairs = np.where(pairs < n - np.arange(r)[:, None], pairs, np.iinfo(np.int32).max)
+    layout = chunks, starts[:, None], pairs[:, None]
+    for shared in layout:  # every caller of the cache gets these arrays
+        shared.flags.writeable = False
+    return layout
 
-    ``Generator.random`` makes a double of the top 53 bits of one raw 64-bit
-    draw, and ``integers(0, 2**32, dtype=np.uint32)`` returns the low and then
-    the high half of each, so one ``random_raw`` call of a trial's bit
-    generator gives its symbols and the uint32 words its round strings are
-    read from, as ``_round_strings`` reads them.  A trial that draws an
-    all-zero string replays its draws through ``_round_strings``, redraws
-    included.
+
+def _read_trials(seeds: list, cdf: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symbols (T, n) and round strings (r, T, 2n), zero past round k's 2(n - k) bits,
+    of a chunk's trials, read from the raw words of each trial's ``PCG64(seed)``.
+
+    They are what ``default_rng(seed)`` draws with ``choice`` and then one
+    ``integers(0, 2, size=2(n - k), dtype=np.uint8)`` call per attempt at
+    round k until the string is not all zero.  A double is the top 53 bits
+    of one raw word, so the symbols take the first n.  That call takes bit 7
+    of each byte, low byte first, of ceil((n - k) / 2) uint32 words: the low
+    and then the high half of the raw words that follow, the spare half kept
+    between calls.  So an attempt reads the next words of that stream, and an
+    all-zero string retries on the words after it.
     """
-    chunks = _string_words(n, r)
-    size = -(-sum(chunks) // 2)  # raw draws holding the string words
-    raw = np.zeros((len(seeds), n + size + 1), dtype="<u8")  # and a zero word for padding
-    for row, seed in enumerate(seeds):
-        raw[row, :-1] = np.random.PCG64(seed).random_raw(n + size)
+    chunks, starts, pairs = _string_layout(n, r)
+    raw = np.zeros((len(seeds), 1), dtype="<u8")
+    while True:
+        width = -(-(starts[-1].max() + 2 * chunks[-1]) // 4)  # the raw words to read
+        if width >= raw.shape[1]:  # draw them (again, after a redraw), and a zero word
+            raw = np.zeros((len(seeds), width + 1), dtype="<u8")
+            for row, seed in zip(raw, seeds):
+                row[:width] = np.random.PCG64(seed).random_raw(width)
+        at = starts + 4 * raw.shape[1] * np.arange(len(seeds))  # (r, T) in raw's uint16s
+        strings = raw.view("<u2").take(at[..., None] + pairs, mode="clip").view(np.uint8) >> 7
+        live = strings.any(axis=2)
+        if live.all():
+            break
+        # each trial's first all-zero string retries on the words after it
+        first = live.argmin(axis=0)
+        later = (np.arange(r)[:, None] >= first) & ~live.all(axis=0)
+        starts = starts + 2 * chunks[first] * later
     symbols = cdf.searchsorted((raw[:, :n] >> 11) * 2.0**-53, side="right")
-    # The high bit of pair i of round k is bit 7 of byte starts[k] + 2i, its low bit
-    # that of the next byte; the pairs past a round's n - k read the zero word.
-    pairs = np.arange(n)
-    starts = 8 * n + 4 * np.cumsum([0] + chunks[:-1])
-    at = np.where(pairs < n - np.arange(r)[:, None], starts[:, None] + 2 * pairs, 8 * (n + size))
-    at = at[:, None] + raw[0].nbytes * np.arange(len(seeds))[:, None]  # (r, T, n)
-    raw = raw.view(np.uint8)
-    hi, lo = raw.take(at) >> 7, raw.take(at + 1) >> 7
-    for row in np.flatnonzero(~(hi | lo).any(axis=2).all(axis=0)):
-        rng = np.random.default_rng(seeds[row])
-        _draw_symbols(rng, cdf, n)
-        for k, s in enumerate(_round_strings(rng, n, r)):
-            hi[k, row, : n - k], lo[k, row, : n - k] = s[0::2], s[1::2]
-    t_masks, f_masks = _lockstep_masks(hi, lo)
-    return symbols, t_masks[..., None], f_masks[..., None]
+    return symbols, strings
 
 
-def _lockstep_masks(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep_masks(strings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_round_masks`` of T trials at once: (T, r) revealed and (T, 2m) final masks.
 
-    ``hi`` and ``lo`` (r, T, n) hold the high and low bit of each round
-    string's pairs, zero past the round's n - k pairs; no string is all zero.
-    The phase and amplitude masks of a trial's pairs are rows of a (2, T, n)
-    array, whose entries past the live pairs are never selected.  One gather a
-    round drops the pair that the last round read and swaps the planes of the
-    pairs whose phase bit this round selects; the rest of the round is a few
-    calls with all-ones selection words.
+    ``strings`` (r, T, 2n) holds each round string, zero past the round's
+    2(n - k) bits; none is all zero.  The phase and amplitude masks of a
+    trial's pairs are rows of a (2, T, n) array, whose entries past the live
+    pairs are never selected.  One gather a round drops the pair that the
+    last round read and swaps the planes of the pairs whose phase bit this
+    round selects; the rest of the round is a few calls with all-ones
+    selection words.
     """
+    hi, lo = strings[..., 0::2], strings[..., 1::2]  # the bits of each pair
     r, trials, n = hi.shape
     selected = hi | lo
     fold = np.negative(hi & lo, dtype=np.uint64)  # XOR selected: fold phase onto amplitude
@@ -742,15 +734,14 @@ def _lockstep_masks(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _int_loop_chunk(
     seeds: list, cdf: np.ndarray, n: int, r: int, words: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_lockstep_chunk`` for masks of any width: ``_apply_round`` per trial on
-    Python-int masks, written out as ``words`` little-endian uint64s each."""
+    """``_lockstep_masks`` for masks of any width, and the symbols: each trial read alone
+    runs ``_apply_round`` on Python-int masks, written out as ``words`` uint64s each."""
     symbols = np.empty((len(seeds), n), dtype=np.intp)
     t_masks = np.empty((len(seeds), r, words), dtype="<u8")
     f_masks = np.empty((len(seeds), 2 * (n - r), words), dtype="<u8")
     for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        symbols[row] = _draw_symbols(rng, cdf, n)
-        for out, masks in zip((t_masks, f_masks), _round_masks(_round_strings(rng, n, r), n)):
+        symbols[row : row + 1], strings = _read_trials([seed], cdf, n, r)
+        for out, masks in zip((t_masks, f_masks), _round_masks(strings[:, 0].tolist(), n)):
             out[row] = _mask_words(masks, words)
     return symbols, t_masks, f_masks
 
@@ -824,12 +815,13 @@ def _run_trials(
     """``run_hashing_trial`` for each seed, in order, as one ``_Trials`` per chunk of at
     most ``_TRIAL_CHUNK`` trials; ``seeds`` is read a chunk at a time.
 
-    Each trial draws from its own ``default_rng(seed)`` in one order, the
-    symbols and then the round strings.  One-word masks run the round map of
-    a chunk's trials in lock step, wider ones run it per trial; the parity
-    match, the readout of the true and surviving final bits, the typicality
-    and the success test run once per chunk, so no outcome depends on the
-    chunking.
+    Each trial reads its symbols and then its round strings from the raw
+    words of its own ``PCG64(seed)``, as ``default_rng(seed)`` would draw
+    them (``_read_trials``).  One-word masks run the round map of a chunk's
+    trials in lock step; wider ones, and a chunk of one trial, run it per
+    trial.  The parity match, the readout of the true and surviving final
+    bits, the typicality and the success test run once per chunk, so no
+    outcome depends on the chunking.
     """
     if abs(plan.h - src.h) > 1e-12:
         raise DimensionMismatchError(
@@ -853,7 +845,8 @@ def _run_trials(
     seeds = iter(seeds)
     while chunk := list(itertools.islice(seeds, _TRIAL_CHUNK)):
         if words == 1 and len(chunk) > 1:  # one trial: the lock-step's setup costs more
-            symbols, t_masks, f_masks = _lockstep_chunk(chunk, cdf, n, r)
+            symbols, strings = _read_trials(chunk, cdf, n, r)
+            t_masks, f_masks = (masks[..., None] for masks in _lockstep_masks(strings))
         else:
             symbols, t_masks, f_masks = _int_loop_chunk(chunk, cdf, n, r, words)
         x = _flat_words(symbols, words)[:, None]
@@ -904,9 +897,9 @@ def run_hashing_trial(
 ) -> HashingTrialResult:
     """Sample one index string, run the measurement rounds, decode, compare.
 
-    ``seed`` feeds a fresh generator; derive per-trial seeds as
-    (master_seed, trial_index) sequences so partitioning trials across
-    workers cannot change any individual outcome.
+    ``seed`` seeds the ``PCG64`` that ``default_rng(seed)`` would wrap; derive
+    per-trial seeds as (master_seed, trial_index) sequences so partitioning
+    trials across workers cannot change any individual outcome.
     """
     return _result(next(_run_trials(src, plan, [seed], budget)), 0)
 
@@ -940,20 +933,24 @@ class MissEstimate:
 
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_MISS_BLOCK = 4096  # strings drawn and tested at a time: memory does not grow with trials
 
 
 def typicality_miss_estimate(
     src: SourceDist, n: int, epsilon: float, trials: int, seed: int = 0
 ) -> MissEstimate:
-    """Sample strings from the source and count those outside the window."""
+    """Sample strings from the source, the rows of ``default_rng(seed).choice(4,
+    size=(trials, n), p=src.p)`` a block at a time, and count those outside the window."""
     trials, n = int(trials), int(n)
     if trials < 1 or n < 1:
         raise DimensionMismatchError(f"need n >= 1 and a trial, got n={n}, trials={trials}")
     epsilon = _window(epsilon)
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(4, size=(trials, n), p=np.asarray(src.p))
-    misses = trials - int(np.count_nonzero(_typical_rows(draws, src, epsilon)))
-    return _wilson_estimate(misses, trials)
+    rng, cdf = np.random.default_rng(seed), _choice_cdf(src.p)
+    typical = 0
+    for done in range(0, trials, _MISS_BLOCK):
+        rows = _draw_symbols(rng, cdf, (min(_MISS_BLOCK, trials - done), n))
+        typical += int(np.count_nonzero(_typical_rows(rows, src, epsilon)))
+    return _wilson_estimate(trials - typical, trials)
 
 
 def _wilson_estimate(misses: int, trials: int) -> MissEstimate:

@@ -3,7 +3,7 @@
 The typical-set enumerator is checked against exhaustive membership testing;
 the round map against hand-worked instances, the parity contract, and GF(2)
 linearity; the decoder against direct Monte Carlo.  The library's compiled
-rounds, one-call round strings, nibble-table parity match and level-wise
+rounds, raw-word reader, nibble-table parity match and level-wise
 enumeration are checked against the slow paths they replaced, kept here as
 reference implementations: the per-vector round, the basis-vector parity and
 final-state matrices, one generator call per round string, the byte-sliced
@@ -17,6 +17,7 @@ the miss estimate against the exact miss probability summed over types.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -58,6 +59,22 @@ def draw_nonzero_bits(rng, length):
         s = rng.integers(0, 2, size=length, dtype=np.uint8)
         if s.any():
             return s
+
+
+def draw_round_strings(rng, n, r):
+    """The r round strings of a trial on n pairs, one Generator call per attempt at
+    each, and the number of all-zero attempts redrawn."""
+    strings, redraws = [], 0
+    for k in range(r):
+        while not (s := rng.integers(0, 2, size=2 * (n - k), dtype=np.uint8)).any():
+            redraws += 1
+        strings.append(s.tolist())
+    return strings, redraws
+
+
+def cached_tables(src, n, epsilon):
+    """The nibble tables that the enumeration of this key left in the cache."""
+    return hashing._TYPICAL_CACHE[(src.p, n, float(epsilon))].tables
 
 
 def ref_matching(packed, count, t_matrix, parity_bits):
@@ -273,6 +290,22 @@ def test_parity_matches_naive_loop():
         parity([1, 0], [1, 0, 1])
 
 
+def test_parity_and_round_update_take_only_0_and_1():
+    # parity once read 2 as 0 while round_update selected its pair, so the
+    # revealed bit was not parity(s, x); -1 reached numpy as an OverflowError
+    x = BellIndexVector((1, 2))
+    for s in ([2, 0, 0, 0], [0, 0, 0, -1], [0, 1, 0.5, 0], np.array([0, 0, 3, 1])):
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            parity(s, x.to_bits())
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            round_update(s, x)
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        parity([1], [2])
+    for s in ([True, False, False, True], np.array([1.0, 0.0, 0.0, 1.0])):
+        assert round_update(s, x) == round_update([1, 0, 0, 1], x)
+        assert parity(s, x.to_bits()) == round_update(s, x)[0]
+
+
 def test_round_update_worked_examples():
     # x = (2, 3): bits 10 11.  s = 10 11 selects both pairs: the first is
     # rotated (swap), the second folded (lo ^= hi), amplitudes accumulate on
@@ -345,30 +378,46 @@ def test_compile_rounds_matches_reference():
         assert np.array_equal(f_matrix, ref_final_matrix(s_list, n))
 
 
-def test_round_strings_match_sequential_draws():
-    # one bulk draw gives the strings, and leaves the generator in the state,
-    # of one draw per round with all-zero strings redrawn
+def test_read_trials_match_sequential_draws():
+    # one read of a chunk's raw words gives each trial the symbols of
+    # Generator.choice and the strings of one Generator call per attempt at
+    # a round, all-zero ones redrawn, zero past each round's 2(n - k) bits
     src = SourceDist(SKEWED)
+    cdf = hashing._choice_cdf(src.p)
     redraws = 0
     for n in range(4, 41):
         for r in sorted({1, n // 2, n - 1}):
-            for seed in range(12):
-                rng = np.random.default_rng([68, n, r, seed])
-                ref = np.random.default_rng([68, n, r, seed])
-                for g in (rng, ref):  # as a trial draws, plus an odd number of words
-                    g.choice(4, size=n, p=np.asarray(src.p))
-                    g.integers(0, 2**32, size=seed % 3, dtype=np.uint32)
-                want = []
-                for k in range(r):
-                    while True:
-                        s = ref.integers(0, 2, size=2 * (n - k), dtype=np.uint8)
-                        if s.any():
-                            break
-                        redraws += 1
-                    want.append(s.tolist())
-                assert hashing._round_strings(rng, n, r) == want
-                assert rng.bit_generator.state == ref.bit_generator.state
+            seeds = [[68, n, r, trial] for trial in range(12)]
+            symbols, strings = hashing._read_trials(seeds, cdf, n, r)
+            assert strings.shape == (r, len(seeds), 2 * n) and strings.dtype == np.uint8
+            for row, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                assert np.array_equal(symbols[row], rng.choice(4, size=n, p=np.asarray(src.p)))
+                want, redrawn = draw_round_strings(rng, n, r)
+                assert strings[:, row].tolist() == [s + [0] * (2 * n - len(s)) for s in want]
+                redraws += redrawn
     assert redraws > 0
+
+
+def test_numpy_draw_model():
+    # the two facts of numpy's bit layout that the reader rests on, and the
+    # bits that a 0/1 uint8 draw takes from its uint32 words
+    for seed in range(20):
+        raw = np.random.PCG64(seed).random_raw(16)
+        rng = np.random.default_rng(seed)
+        # a double is the top 53 bits of one raw word
+        assert rng.random(10).tolist() == ((raw[:10] >> 11) * 2.0**-53).tolist()
+        # uint32 words are the low and then the high half of a raw word, and an
+        # odd-sized call leaves the high half to start the next one
+        halves = np.stack((raw[10:14] & 0xFFFFFFFF, raw[10:14] >> 32), axis=1).reshape(-1)
+        odd = rng.integers(0, 2**32, size=2 * (seed % 4) + 1, dtype=np.uint32)
+        rest = rng.integers(0, 2**32, size=8 - odd.size, dtype=np.uint32)
+        assert np.concatenate((odd, rest)).tolist() == halves.tolist()
+        # a 0/1 uint8 draw of length L takes bit 7 of the first L bytes of
+        # ceil(L / 4) uint32 words
+        bits = rng.integers(0, 2, size=6, dtype=np.uint8)
+        assert bits.tolist() == (raw[14:15].astype("<u8").view(np.uint8)[:6] >> 7).tolist()
+        assert rng.bit_generator.random_raw() == raw[15]
 
 
 def test_nibble_matcher_matches_byte_sliced_reference():
@@ -377,20 +426,20 @@ def test_nibble_matcher_matches_byte_sliced_reference():
     survivors = 0
     for (src, epsilon), n in cases:
         plan = plan_yield(src, n, epsilon=epsilon)
-        typical_set = enumerate_typical(src, n, plan.epsilon)
-        _, bits, _ = typical_set
+        _, bits, _ = enumerate_typical(src, n, plan.epsilon)
+        tables = cached_tables(src, n, plan.epsilon)
         packed = np.packbits(bits.T, axis=1)
         rng = np.random.default_rng([69, n])
         width = -(-2 * n // 64)  # uint64 words a mask takes
         stacked_masks, stacked_bits, wanted = [], [], []
         for trial in range(20):
-            s_list = hashing._round_strings(rng, n, plan.r)
+            s_list, _ = draw_round_strings(rng, n, plan.r)
             int_masks = hashing._round_masks(s_list, n)
             t_masks, f_masks = (hashing._mask_words(m, width) for m in int_masks)
             t_matrix, f_matrix = compile_rounds([np.array(s) for s in s_list], n)
             # parities of every candidate under each mask
             for masks, matrix in ((t_masks, t_matrix), (f_masks, f_matrix)):
-                words = hashing._predicted(typical_set.tables, masks)
+                words = hashing._predicted(tables, masks)
                 got = np.unpackbits(words.view(np.uint8), axis=1, count=len(bits), bitorder="little")
                 assert np.array_equal(got, (matrix @ bits.T) & 1)
             # revealed bits of a candidate (so something survives) or at random
@@ -404,7 +453,7 @@ def test_nibble_matcher_matches_byte_sliced_reference():
         # the trials of a chunk are matched in one call
         stacked_bits = np.array(stacked_bits, dtype=np.uint8)
         stacked_masks = np.array(stacked_masks)
-        rows = hashing._predicted(typical_set.tables, stacked_masks.reshape(-1, width))
+        rows = hashing._predicted(tables, stacked_masks.reshape(-1, width))
         rows = rows.reshape(stacked_masks.shape[:2] + (-1,))
         trial, got = hashing._matching(rows, len(bits), stacked_bits)
         assert np.array_equal(trial, np.repeat(np.arange(20), [w.size for w in wanted]))
@@ -505,6 +554,16 @@ def test_is_typical_examples():
         is_typical(all_zero, src, 0.0)
 
 
+def test_is_typical_rejects_symbols_outside_0_to_3():
+    # -1 once read symbol 3's surprisal and 4 raised a bare IndexError
+    src = SourceDist((0.9, 0.05, 0.05, 0.0))
+    for x in ([-1] * 8, [4] * 8, [0] * 7 + [7], np.full(8, -1)):
+        with pytest.raises(ValueError, match="0..3"):
+            is_typical(x, src, 0.5)
+    assert is_typical(np.zeros(8, dtype=np.int64), src, 0.5)
+    assert not is_typical([0] * 7 + [3], src, 0.5)  # a zero-weight symbol
+
+
 def vectorized_membership(src, n, epsilon):
     """Exhaustive typicality mask over all 4^n strings.
 
@@ -566,8 +625,7 @@ def test_enumerate_typical_matches_reference():
     for src in (SourceDist(SKEWED), SourceDist((0.92,) + ((1 - 0.92) / 3,) * 3)):
         cases.append((src, 24, plan_yield(src, 24).epsilon))
     for src, n, epsilon in cases:
-        typical_set = enumerate_typical(src, n, epsilon)
-        symbols, bits, visits = typical_set
+        symbols, bits, visits = enumerate_typical(src, n, epsilon)
         ref_symbols, ref_bits, ref_visits = ref_enumerate_typical(src, n, epsilon)
         assert symbols.dtype == ref_symbols.dtype and bits.dtype == ref_bits.dtype
         assert symbols.shape == ref_symbols.shape and bits.shape == ref_bits.shape
@@ -575,7 +633,7 @@ def test_enumerate_typical_matches_reference():
         assert symbols.tobytes() == ref_symbols.tobytes()
         assert bits.tobytes() == ref_bits.tobytes()
         assert visits == ref_visits
-        assert np.array_equal(typical_set.tables, ref_subset_tables(ref_bits))
+        assert np.array_equal(cached_tables(src, n, epsilon), ref_subset_tables(ref_bits))
         if n < 24:
             # the budget trips exactly when the whole tree does not fit in it
             assert enumerate_typical(src, n, epsilon, budget=visits)[2] == visits
@@ -647,11 +705,11 @@ def sweep_source(k):
 def assert_same_set(src, n, epsilon, walk, visits):
     """``enumerate_typical`` (cold) holds the (n, C) symbols ``walk`` of the tree search."""
     hashing._TYPICAL_CACHE.clear()
-    symbols, bits, got_visits = typical_set = enumerate_typical(src, n, epsilon, budget=10**7)
+    symbols, bits, got_visits = enumerate_typical(src, n, epsilon, budget=10**7)
     assert got_visits == visits
     assert symbols.dtype == np.uint8 and symbols.shape == walk.T.shape
     assert symbols.tobytes() == np.ascontiguousarray(walk.T).tobytes()
-    assert typical_set.tables.tobytes() == hashing._subset_tables(walk).tobytes()
+    assert cached_tables(src, n, epsilon).tobytes() == hashing._subset_tables(walk).tobytes()
 
 
 def test_type_classes_match_the_tree_on_the_sweep_grid():
@@ -684,7 +742,7 @@ def test_keys_near_a_test_edge_run_the_tree_search():
         assert typical_set[2] == ref_visits
         assert typical_set[0].tobytes() == ref_symbols.tobytes()
         assert typical_set[1].tobytes() == ref_bits.tobytes()
-        assert np.array_equal(typical_set.tables, ref_subset_tables(ref_bits))
+        assert np.array_equal(cached_tables(src, n, epsilon), ref_subset_tables(ref_bits))
 
 
 def test_type_classes_keep_the_pruning_slack():
@@ -784,15 +842,22 @@ def test_type_classes_match_the_tree_on_random_keys():
 
 def test_typical_cache_is_bounded():
     sources = [SourceDist((p0, 1.0 - p0, 0.0, 0.0)) for p0 in (0.6, 0.65, 0.7, 0.75, 0.8, 0.85)]
+    cache, key = hashing._TYPICAL_CACHE, (sources[0].p, 8, 0.1)
     first = enumerate_typical(sources[0], 8, 0.1)
+    entry = cache[key]
     for src in sources[1:]:
         enumerate_typical(src, 8, 0.1)
-        assert len(hashing._TYPICAL_CACHE) <= hashing._TYPICAL_CACHE_SIZE
-    again = enumerate_typical(sources[0], 8, 0.1)  # evicted, so enumerated afresh
-    assert again.tables is not first.tables
-    assert enumerate_typical(sources[0], 8, 0.1).tables is again.tables  # cached
+        assert len(cache) <= hashing._TYPICAL_CACHE_SIZE
+    assert key not in cache  # evicted
+    again = enumerate_typical(sources[0], 8, 0.1)  # so enumerated afresh
+    assert cache[key] is not entry
+    entry = cache[key]
+    enumerate_typical(sources[1], 8, 0.1)
+    enumerate_typical(sources[0], 8, 0.1)  # a hit keeps the entry and moves it to the end
+    assert cache[key] is entry and list(cache)[-1] == key
     assert all(np.array_equal(a, b) for a, b in zip(again[:2], first[:2]))
     assert again[2] == first[2]
+    assert type(again) is tuple
 
 
 def test_run_hashing_trial_matches_reference():
@@ -874,9 +939,9 @@ def test_stacked_trials_match_the_one_trial_reference(monkeypatch):
 
 
 def test_lockstep_masks_match_the_int_loop():
-    # One-word masks run the round map of a chunk's trials in lock step; the
-    # int loop per trial, on draws from a Generator, is the oracle.  At n = 4
-    # and 5 all-zero strings, and so replays with redraws, are common.
+    # Both round maps run on one read: the lock step over a chunk's trials and
+    # _apply_round per trial on int masks.  At n = 4 and 5 all-zero strings,
+    # and so redraws, are common.
     src = SourceDist(SKEWED)
     cdf = hashing._choice_cdf(src.p)
     redraws = 0
@@ -884,19 +949,20 @@ def test_lockstep_masks_match_the_int_loop():
         for r in sorted({1, plan_yield(src, n).r, n - 1}):
             for size in (1, 31, 32):
                 seeds = [[74, n, r, size, trial] for trial in range(size)]
-                got = hashing._lockstep_chunk(seeds, cdf, n, r)
-                want = hashing._int_loop_chunk(seeds, cdf, n, r, 1)
-                for a, b in zip(got, want):
+                symbols, strings = hashing._read_trials(seeds, cdf, n, r)
+                t_masks, f_masks = hashing._lockstep_masks(strings)
+                assert t_masks.dtype == f_masks.dtype == np.uint64
+                for row in range(size):
+                    want = hashing._round_masks(strings[:, row].tolist(), n)
+                    assert (t_masks[row].tolist(), f_masks[row].tolist()) == want, (n, r, size)
+                # the int loop reads each trial alone, as the chunk read it
+                got = hashing._int_loop_chunk(seeds, cdf, n, r, 1)
+                for a, b in zip(got, (symbols, t_masks[..., None], f_masks[..., None])):
                     assert a.shape == b.shape and np.array_equal(a, b), (n, r, size)
-                assert got[1].dtype == got[2].dtype == np.uint64
                 for seed in seeds:
-                    # one draw of the string words is all a trial without redraws takes
-                    once, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-                    for g in (once, replay):
-                        hashing._draw_symbols(g, cdf, n)
-                    once.integers(0, 2**32, size=sum(hashing._string_words(n, r)), dtype=np.uint32)
-                    hashing._round_strings(replay, n, r)
-                    redraws += once.bit_generator.state != replay.bit_generator.state
+                    rng = np.random.default_rng(seed)
+                    rng.random(n)
+                    redraws += draw_round_strings(rng, n, r)[1]
     assert redraws > 0
 
 
@@ -1087,6 +1153,30 @@ def test_typicality_miss_estimate_monotone():
         assert b.lower <= a.upper + 1e-12
     with pytest.raises(DimensionMismatchError):
         typicality_miss_estimate(src, 8, 0.1, trials=0)
+
+
+def test_typicality_miss_estimate_memory_does_not_grow_with_trials():
+    # The strings are drawn and tested a block of rows at a time, as the rows
+    # of one Generator.choice call; that call's (trials, n) draws once held
+    # ~20 MB for 20,000 trials at n = 64.
+    src = SourceDist(SKEWED)
+    block = hashing._MISS_BLOCK
+    for n, trials in ((64, 1), (64, block), (16, block + 1), (24, 2 * block + 77)):
+        draws = np.random.default_rng(n).choice(4, size=(trials, n), p=np.asarray(src.p))
+        misses = trials - sum(is_typical(row, src, 0.1) for row in draws)
+        want = hashing._wilson_estimate(misses, trials)
+        assert typicality_miss_estimate(src, n, 0.1, trials, seed=n) == want
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            typicality_miss_estimate(src, 64, 0.1, trials, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * block), peak(10 * block)
+    assert large - small <= 64 * 1024, (small, large)
 
 
 def test_typicality_miss_estimate_decides_edge_strings_as_is_typical():
